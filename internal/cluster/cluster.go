@@ -70,13 +70,9 @@ type Options struct {
 	// InboxSize, when positive, gives every site a bounded mailbox of this
 	// capacity (site.Config.InboxSize); it forces asynchronous delivery.
 	InboxSize int
-	// LockedTrace makes every site compute local traces under its lock
-	// (site.Config.LockedTrace) — the baseline the off-lock benchmarks
-	// compare against.
-	LockedTrace bool
 	// Incremental enables incremental local tracing on every site
 	// (site.Config.Incremental): write-barrier-maintained dirty deltas,
-	// copy-on-write trace snapshots, and dirty-set remarks.
+	// patched trace snapshots, and dirty-set remarks.
 	Incremental bool
 	// MaxDirtyRatio tunes the incremental tracer's full-trace fallback
 	// (site.Config.MaxDirtyRatio); zero means the tracer default.
@@ -222,7 +218,6 @@ func New(opts Options) *Cluster {
 			TraceBatch:                opts.TraceBatch,
 			MemoizeLive:               opts.MemoizeLive,
 			InboxSize:                 opts.InboxSize,
-			LockedTrace:               opts.LockedTrace,
 			Incremental:               opts.Incremental,
 			MaxDirtyRatio:             opts.MaxDirtyRatio,
 			Shards:                    opts.Shards,

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"backtrace/internal/cluster"
@@ -47,24 +48,34 @@ func TestSoakLargeCluster(t *testing.T) {
 	t.Logf("built %d objects, %d initially garbage", before, garbageBefore)
 
 	// Churn: random edge insertions/removals across the whole store,
-	// interleaved with rounds.
-	allRefs := func() []ids.Ref {
-		var out []ids.Ref
-		for _, s := range c.Sites() {
-			snap := s.AuditSnapshot()
-			for obj := range snap.Objects {
-				out = append(out, ids.MakeRef(s.ID(), obj))
-			}
+	// interleaved with rounds. Both ref lists are sorted so the seed fixes
+	// the churn. Link targets come only from the globally live set: a
+	// mutator can only copy a reference it can reach, and an unreachable
+	// ring object may already have been judged garbage by a back trace.
+	// Links and collector steps never shrink the live set, so it is
+	// recomputed exactly after each of the churn's own removals.
+	sorted := func(set map[ids.Ref]struct{}) []ids.Ref {
+		out := make([]ids.Ref, 0, len(set))
+		for r := range set {
+			out = append(out, r)
 		}
+		sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 		return out
 	}
-	refs := allRefs()
+	all := make(map[ids.Ref]struct{})
+	for _, s := range c.Sites() {
+		for obj := range s.AuditSnapshot().Objects {
+			all[ids.MakeRef(s.ID(), obj)] = struct{}{}
+		}
+	}
+	refs := sorted(all)
+	live := sorted(c.GlobalLive())
 	for step := 0; step < 400; step++ {
 		switch rng.Intn(4) {
 		case 0:
 			from := refs[rng.Intn(len(refs))]
-			to := refs[rng.Intn(len(refs))]
-			if c.Site(from.Site).ContainsObject(from.Obj) && c.Site(to.Site).ContainsObject(to.Obj) {
+			to := live[rng.Intn(len(live))]
+			if c.Site(from.Site).ContainsObject(from.Obj) {
 				_ = c.Link(from, to)
 			}
 		case 1:
@@ -72,6 +83,7 @@ func TestSoakLargeCluster(t *testing.T) {
 			s := c.Site(from.Site)
 			if fields, err := s.Fields(from.Obj); err == nil && len(fields) > 0 {
 				_ = s.RemoveReference(from.Obj, fields[rng.Intn(len(fields))])
+				live = sorted(c.GlobalLive())
 			}
 		case 2:
 			c.Site(ids.SiteID(1 + rng.Intn(sites))).RunLocalTrace()
@@ -96,9 +108,8 @@ func TestSoakLargeCluster(t *testing.T) {
 
 	// Safety: every remaining object is globally reachable, and no live
 	// object has a dangling field.
-	live := c.GlobalLive()
-	if len(live) != c.TotalObjects() {
-		t.Fatalf("live=%d objects=%d after stable collection", len(live), c.TotalObjects())
+	if n := len(c.GlobalLive()); n != c.TotalObjects() {
+		t.Fatalf("live=%d objects=%d after stable collection", n, c.TotalObjects())
 	}
 }
 

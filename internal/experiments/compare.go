@@ -134,7 +134,7 @@ func InsetComparison(scale int) []InsetRow {
 	for _, sh := range buildInsetShapes(scale) {
 		for _, algo := range []tracer.OutsetAlgorithm{tracer.AlgoIndependent, tracer.AlgoBottomUp} {
 			start := time.Now()
-			res := tracer.Run(sh.h, sh.tbl, 3, algo)
+			res := tracer.RunParallel(sh.h, sh.tbl, 3, algo, 1)
 			rows = append(rows, InsetRow{
 				Shape:    sh.name,
 				Algo:     algo,

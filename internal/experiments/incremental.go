@@ -113,7 +113,7 @@ func IncrementalTable(rows []IncrementalRow) *Table {
 	t := &Table{
 		Title:  "C15: incremental local tracing (steady-state trace cost)",
 		Header: []string{"scenario", "mode", "objects", "dirty/round", "rounds", "ns/round", "allocs/round", "remarks", "outsets-reused"},
-		Caption: "full mode deep-copies and re-marks the whole heap every round; " +
+		Caption: "full mode clones the shard maps and re-marks the whole heap every round; " +
 			"incremental mode patches a shadow snapshot and remarks only from the dirty set",
 	}
 	for _, r := range rows {

@@ -12,7 +12,7 @@ import (
 
 // ShardRow is one (shards, workers) cell of experiment C16: local-trace
 // latency over a sharded heap with the work-stealing parallel marker,
-// against the sequential single-shard baseline.
+// against the one-worker (inline) single-shard baseline.
 type ShardRow struct {
 	Shards     int
 	Workers    int
@@ -67,7 +67,7 @@ func shardWorkload(shards, objects, threshold int) (*heap.Heap, *refs.Table) {
 
 // ShardTrace measures experiment C16: local-trace latency as a function of
 // heap/table shard count and mark-worker count, with every parallel result
-// checked content-identical to the sequential single-shard baseline.
+// checked content-identical to the one-worker single-shard baseline.
 func ShardTrace(objects, rounds int) ([]ShardRow, error) {
 	const threshold = 3
 	if rounds < 1 {
@@ -75,7 +75,7 @@ func ShardTrace(objects, rounds int) ([]ShardRow, error) {
 	}
 
 	baseH, baseTbl := shardWorkload(1, objects, threshold)
-	baseline := tracer.Run(baseH, baseTbl, threshold, tracer.AlgoBottomUp)
+	baseline := tracer.RunParallel(baseH, baseTbl, threshold, tracer.AlgoBottomUp, 1)
 
 	var out []ShardRow
 	for _, shards := range []int{1, 4, 8} {
@@ -83,10 +83,7 @@ func ShardTrace(objects, rounds int) ([]ShardRow, error) {
 		var seqNs float64
 		for _, workers := range []int{1, 2, 4, 8} {
 			run := func() *tracer.Result {
-				if workers > 1 {
-					return tracer.RunParallel(h, tbl, threshold, tracer.AlgoBottomUp, workers)
-				}
-				return tracer.Run(h, tbl, threshold, tracer.AlgoBottomUp)
+				return tracer.RunParallel(h, tbl, threshold, tracer.AlgoBottomUp, workers)
 			}
 			res := run() // warmup + correctness probe
 			start := time.Now()

@@ -6,15 +6,24 @@
 // shard owns its own lock, its own maps, its own write-barrier dirty set,
 // and its own slice of the copy-on-write trace snapshot, so mutator
 // operations touching distinct shards do not contend and trace snapshots
-// patch shards concurrently. Single-key operations are safe for concurrent
-// use; whole-heap operations (Snapshot, TraceSnapshot, Objects, audits)
-// still rely on the owning Site to exclude concurrent mutators — the Site
-// takes its write lock for those, and its read lock plus the per-shard
-// locks for the short mutator critical sections the paper's model assumes.
+// patch shards concurrently.
+//
+// Objects are immutable once published in a shard map: field mutators
+// install a fresh *Object with a new field slice instead of writing the old
+// one. A snapshot therefore clones only the shard maps and shares every
+// object pointer with the live heap.
+//
+// Single-key operations are safe for concurrent use; whole-heap operations
+// (Snapshot, TraceSnapshot, Objects, audits) still rely on the owning Site
+// to exclude concurrent mutators — the Site takes its write lock for those,
+// and its read lock plus the per-shard locks for the short mutator critical
+// sections the paper's model assumes.
 package heap
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,9 +46,9 @@ func (o *Object) ID() ids.ObjID { return o.id }
 // Size returns the object's nominal payload size in bytes.
 func (o *Object) Size() int { return o.size }
 
-// Fields returns a copy of the object's reference fields. It is safe only
-// when field mutators are excluded (snapshot heaps, or the site write
-// lock); concurrent introspection should use Heap.FieldsOf.
+// Fields returns a copy of the object's reference fields. Objects are
+// immutable, so this is safe against concurrent heap mutation; the copy
+// only protects the object from the caller.
 func (o *Object) Fields() []ids.Ref {
 	out := make([]ids.Ref, len(o.fields))
 	copy(out, o.fields)
@@ -51,6 +60,12 @@ func (o *Object) NumFields() int { return len(o.fields) }
 
 // Field returns the i'th reference field.
 func (o *Object) Field(i int) ids.Ref { return o.fields[i] }
+
+// withFields returns a copy of o with the given field slice, which the new
+// Object takes ownership of (copy-on-write: o itself is never modified).
+func (o *Object) withFields(fields []ids.Ref) *Object {
+	return &Object{id: o.id, fields: fields, size: o.size}
+}
 
 // DefaultObjectSize is the nominal payload size of objects allocated
 // without an explicit size.
@@ -96,15 +111,15 @@ type Heap struct {
 
 	// tracking, when true, makes every mutator operation record what it
 	// touched in its shard's dirty set so TraceSnapshot can produce an
-	// O(dirty) snapshot and Delta instead of an O(heap) deep copy. Off by
+	// O(dirty) snapshot and Delta instead of an O(heap) snapshot. Off by
 	// default: the bookkeeping is pure overhead for sites that run full
 	// traces. Written only while whole-heap exclusion holds (construction
 	// or the site write lock).
 	tracking bool
 	// snap is the shadow copy maintained by TraceSnapshot: a second Heap
 	// (same shard count) that mirrors this one as of the last snapshot.
-	// It shares no Object structs with the live heap, so a local trace
-	// may read it off-lock while mutators keep writing here.
+	// It has its own shard maps and shares the immutable Objects, so a
+	// local trace may read it off-lock while mutators keep writing here.
 	snap *Heap
 }
 
@@ -329,10 +344,9 @@ func (h *Heap) PersistentRoots() []ids.ObjID {
 	return out
 }
 
-// Get returns the object with the given identifier. The returned Object's
-// fields must only be read when field mutators are excluded (snapshot
-// heaps, or the site write lock); use FieldsOf for concurrent
-// introspection.
+// Get returns the object with the given identifier. The Object is
+// immutable: later field mutations install a new Object and leave this one
+// as it was.
 func (h *Heap) Get(obj ids.ObjID) (*Object, bool) {
 	sh := h.shardFor(obj)
 	sh.mu.RLock()
@@ -341,13 +355,17 @@ func (h *Heap) Get(obj ids.ObjID) (*Object, bool) {
 	return o, ok
 }
 
-// FieldsOf returns a copy of an object's reference fields, taken under the
-// shard lock so it is safe against concurrent field mutation.
+// Lookup is Get without the shard lock, for a heap that nothing mutates
+// while the caller reads it — a trace snapshot during its trace. Any
+// number of goroutines may Lookup concurrently.
+func (h *Heap) Lookup(obj ids.ObjID) (*Object, bool) {
+	o, ok := h.shardFor(obj).objects[obj]
+	return o, ok
+}
+
+// FieldsOf returns a copy of an object's reference fields.
 func (h *Heap) FieldsOf(obj ids.ObjID) ([]ids.Ref, bool) {
-	sh := h.shardFor(obj)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[obj]
+	o, ok := h.Get(obj)
 	if !ok {
 		return nil, false
 	}
@@ -378,9 +396,9 @@ func (h *Heap) Objects() []ids.ObjID {
 }
 
 // EachObjectInShard invokes fn for every object in one shard, in
-// unspecified order, holding the shard read lock. The parallel tracer uses
-// it to partition heap scans without allocating id slices; fn must not
-// mutate the heap.
+// unspecified order, holding the shard read lock. The tracer uses it to
+// partition heap scans without allocating id slices; fn must not mutate
+// the heap.
 func (h *Heap) EachObjectInShard(i int, fn func(ids.ObjID, *Object)) {
 	sh := h.shards[i]
 	sh.mu.RLock()
@@ -400,7 +418,10 @@ func (h *Heap) AddField(obj ids.ObjID, target ids.Ref) error {
 	if !ok {
 		return fmt.Errorf("heap %v: add field: no object %v", h.site, obj)
 	}
-	o.fields = append(o.fields, target)
+	fields := make([]ids.Ref, len(o.fields)+1)
+	copy(fields, o.fields)
+	fields[len(o.fields)] = target
+	sh.objects[obj] = o.withFields(fields)
 	h.touchObj(sh, obj)
 	return nil
 }
@@ -417,7 +438,9 @@ func (h *Heap) RemoveField(obj ids.ObjID, target ids.Ref) (bool, error) {
 	}
 	for i, f := range o.fields {
 		if f == target {
-			o.fields = append(o.fields[:i], o.fields[i+1:]...)
+			fields := make([]ids.Ref, 0, len(o.fields)-1)
+			fields = append(append(fields, o.fields[:i]...), o.fields[i+1:]...)
+			sh.objects[obj] = o.withFields(fields)
 			h.touchObj(sh, obj)
 			return true, nil
 		}
@@ -434,7 +457,9 @@ func (h *Heap) ClearFields(obj ids.ObjID) error {
 	if !ok {
 		return fmt.Errorf("heap %v: clear fields: no object %v", h.site, obj)
 	}
-	o.fields = nil
+	if len(o.fields) > 0 {
+		sh.objects[obj] = o.withFields(nil)
+	}
 	h.touchObj(sh, obj)
 	return nil
 }
@@ -463,10 +488,7 @@ func (h *Heap) Install(id ids.ObjID, fields []ids.Ref, size int, root bool) erro
 	if _, ok := sh.objects[id]; ok {
 		return fmt.Errorf("heap %v: install: object %v already exists", h.site, id)
 	}
-	o := &Object{id: id, size: size}
-	o.fields = make([]ids.Ref, len(fields))
-	copy(o.fields, fields)
-	sh.objects[id] = o
+	sh.objects[id] = &Object{id: id, fields: slices.Clone(fields), size: size}
 	h.touchObj(sh, id)
 	if root {
 		sh.persistentRoots[id] = struct{}{}
@@ -476,33 +498,27 @@ func (h *Heap) Install(id ids.ObjID, fields []ids.Ref, size int, root bool) erro
 	return nil
 }
 
-// Snapshot returns a deep copy of the heap: objects (with copied field
-// slices), persistent roots, application roots, and the allocation
-// high-water mark. Shards are copied concurrently, each under its own read
-// lock. The copy shares nothing with the original, so a local trace can
-// read it while mutators keep modifying the live heap — the
-// short-critical-section snapshot that lets tracer.Run execute outside the
-// site lock (Section 6.2).
+// Snapshot returns a copy-on-write copy of the heap: clones of every
+// shard's object, persistent-root and application-root maps, plus the
+// allocation high-water mark. The clones share the immutable Objects with
+// the original, so a snapshot costs one map clone per shard and no
+// per-object allocation. Shards are cloned concurrently, each under its
+// own read lock. Later mutations of either heap install new Objects in
+// that heap's own maps and leave the other untouched, so a local trace
+// can read the snapshot while mutators keep modifying the live heap — the
+// short-critical-section snapshot that lets the trace run outside the site
+// lock (Section 6.2).
 func (h *Heap) Snapshot() *Heap {
-	cp := NewSharded(h.site, len(h.shards))
+	cp := &Heap{site: h.site, shards: make([]*shard, len(h.shards))}
 	cp.next.Store(h.next.Load())
 	h.eachShardConcurrent(func(i int) {
-		src, dst := h.shards[i], cp.shards[i]
+		src := h.shards[i]
 		src.mu.RLock()
 		defer src.mu.RUnlock()
-		dst.objects = make(map[ids.ObjID]*Object, len(src.objects))
-		for id, o := range src.objects {
-			fields := make([]ids.Ref, len(o.fields))
-			copy(fields, o.fields)
-			dst.objects[id] = &Object{id: o.id, fields: fields, size: o.size}
-		}
-		dst.persistentRoots = make(map[ids.ObjID]struct{}, len(src.persistentRoots))
-		for o := range src.persistentRoots {
-			dst.persistentRoots[o] = struct{}{}
-		}
-		dst.appRoots = make(map[ids.Ref]int, len(src.appRoots))
-		for r, n := range src.appRoots {
-			dst.appRoots[r] = n
+		cp.shards[i] = &shard{
+			objects:         maps.Clone(src.objects),
+			persistentRoots: maps.Clone(src.persistentRoots),
+			appRoots:        maps.Clone(src.appRoots),
 		}
 	})
 	return cp
@@ -528,17 +544,17 @@ func (h *Heap) eachShardConcurrent(fn func(i int)) {
 
 // TraceSnapshot returns a read-only snapshot of the heap plus the Delta of
 // changes since the previous TraceSnapshot call. The first call (and any
-// call before EnableDeltaTracking) deep-copies the whole heap and returns a
+// call before EnableDeltaTracking) takes a full Snapshot and returns a
 // Full delta; subsequent calls patch each shard of the retained shadow copy
 // from that shard's dirty set — concurrently across shards, O(dirty) in
 // total — and diff each dirty entity against its shadow state, so an idle
 // heap snapshots in O(1) regardless of size.
 //
-// The returned heap is the shadow copy itself: it shares no Object structs
-// with the live heap (an off-lock trace may read it while mutators write
-// here), but it is patched in place by the NEXT TraceSnapshot call — the
-// caller must be done with it by then. The site's trace mutex provides
-// exactly that serialization.
+// The returned heap is the shadow copy itself: it has its own shard maps
+// and shares only immutable Objects with the live heap (an off-lock trace
+// may read it while mutators write here), but its maps are patched in
+// place by the NEXT TraceSnapshot call — the caller must be done with it
+// by then. The site's trace mutex provides exactly that serialization.
 func (h *Heap) TraceSnapshot() (*Heap, *Delta) {
 	if !h.tracking {
 		h.EnableDeltaTracking()
@@ -587,19 +603,15 @@ func (h *Heap) patchShard(live, snap *shard, d *Delta) {
 		snapO, snapOK := snap.objects[obj]
 		switch {
 		case liveOK && !snapOK:
-			fields := make([]ids.Ref, len(liveO.fields))
-			copy(fields, liveO.fields)
-			snap.objects[obj] = &Object{id: liveO.id, fields: fields, size: liveO.size}
+			snap.objects[obj] = liveO
 			d.Allocated = append(d.Allocated, obj)
 		case !liveOK && snapOK:
 			delete(snap.objects, obj)
 			d.Deleted = append(d.Deleted, obj)
 		case liveOK && snapOK:
 			added, removed := fieldDiff(snapO.fields, liveO.fields)
+			snap.objects[obj] = liveO
 			if added || removed {
-				fields := make([]ids.Ref, len(liveO.fields))
-				copy(fields, liveO.fields)
-				snapO.fields = fields
 				if removed {
 					d.FieldsRemoved = append(d.FieldsRemoved, obj)
 				} else {
@@ -670,7 +682,7 @@ func (h *Heap) ResetTraceSnapshot() {
 // the heap is empty). Incremental sites export it as the
 // localtrace.parallel.shard_dirty_ratio gauge: a ratio near 1 on one shard
 // while others idle shows mutation skew that per-shard snapshot patching
-// absorbs and a global deep copy would not.
+// absorbs and a global snapshot would not.
 func (h *Heap) MaxShardDirtyRatio() float64 {
 	if !h.tracking {
 		return 0
@@ -751,9 +763,7 @@ func (h *Heap) SetNextID(n ids.ObjID) {
 // reference. The object's fields are supplied by the caller.
 func (h *Heap) Adopt(fields []ids.Ref, size int) ids.Ref {
 	id := ids.ObjID(h.next.Add(1))
-	o := &Object{id: id, size: size}
-	o.fields = make([]ids.Ref, len(fields))
-	copy(o.fields, fields)
+	o := &Object{id: id, fields: slices.Clone(fields), size: size}
 	sh := h.shardFor(id)
 	sh.mu.Lock()
 	sh.objects[id] = o

@@ -55,26 +55,19 @@ func (s *Site) RunLocalTrace() TraceReport {
 // keep changing during the computation, because back traces still use the
 // old back information, garbage stays garbage (no root or message can name
 // an unreachable object), and barriers that fire meanwhile are recorded
-// (s.tracing) and replayed at commit. Config.LockedTrace restores the old
-// whole-computation-under-the-lock behaviour for baseline measurements.
+// (s.tracing) and replayed at commit.
 func (s *Site) BeginLocalTrace() {
 	s.traceMu.Lock()
 	defer s.traceMu.Unlock()
 	s.localTraceT0 = s.clk.Now()
 
-	if s.cfg.LockedTrace {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.startTraceLocked()
-		s.installPendingLocked(s.computeTrace(s.heap, s.table, s.threshold))
-		return
-	}
-
 	s.mu.Lock()
-	// Incremental sites snapshot by patching the retained shadow copy with
-	// the dirty set — O(changes), not O(heap). The shadow copy shares no
-	// structures with the live state, so the off-lock read below stays
-	// safe; traceMu guarantees the previous trace is done with it.
+	// Full-trace sites take a copy-on-write snapshot: one map clone per
+	// shard, sharing the immutable heap objects. Incremental sites patch
+	// the retained shadow copy with the dirty set — O(changes), not
+	// O(heap). Either copy has its own maps, so the off-lock read below
+	// stays safe; traceMu guarantees the previous trace is done with the
+	// shadow copy.
 	var h *heap.Heap
 	var tbl *refs.Table
 	var hd *heap.Delta
@@ -96,7 +89,7 @@ func (s *Site) BeginLocalTrace() {
 	if s.cfg.Incremental {
 		res = s.incr.Run(h, tbl, hd, td, threshold, s.cfg.OutsetAlgorithm)
 	} else {
-		res = s.runFull(h, tbl, threshold)
+		res = s.full.Run(h, tbl, threshold, s.cfg.OutsetAlgorithm)
 	}
 
 	s.mu.Lock()
@@ -117,32 +110,6 @@ func (s *Site) BeginLocalTrace() {
 		return
 	}
 	s.installPendingLocked(res)
-}
-
-// computeTrace runs the tracer under the site lock (LockedTrace mode),
-// routing through the incremental state or the scratch buffers according
-// to configuration.
-func (s *Site) computeTrace(h *heap.Heap, tbl *refs.Table, threshold int) *tracer.Result {
-	if s.cfg.Incremental {
-		// Even under the lock, incremental mode traces the patched
-		// snapshot: the remark's previous-result lineage must refer to one
-		// consistent sequence of states.
-		s.gaugeDirty.Set(int64(100 * s.heap.MaxShardDirtyRatio()))
-		sh, hd := s.heap.TraceSnapshot()
-		stbl, td := s.table.TraceSnapshot()
-		return s.incr.Run(sh, stbl, hd, td, threshold, s.cfg.OutsetAlgorithm)
-	}
-	return s.runFull(h, tbl, threshold)
-}
-
-// runFull computes a non-incremental trace: the work-stealing parallel
-// tracer when Config.TraceWorkers exceeds one, the sequential
-// scratch-buffered tracer otherwise. Results are bit-identical.
-func (s *Site) runFull(h *heap.Heap, tbl *refs.Table, threshold int) *tracer.Result {
-	if s.cfg.TraceWorkers > 1 {
-		return tracer.RunParallel(h, tbl, threshold, s.cfg.OutsetAlgorithm, s.cfg.TraceWorkers)
-	}
-	return tracer.RunWithScratch(h, tbl, threshold, s.cfg.OutsetAlgorithm, s.scratch)
 }
 
 // startTraceLocked opens the trace window: barriers applied from here to

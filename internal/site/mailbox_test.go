@@ -95,13 +95,13 @@ func TestMailboxCloseUnblocksAndDropsQueued(t *testing.T) {
 	}
 }
 
-// TestOffLockTraceMatchesLockedTrace commits the same heap through the
-// off-lock snapshot path and the LockedTrace baseline and expects identical
+// TestInlineTraceMatchesParallelTrace commits the same heap through the
+// inline one-worker mark and the work-stealing mark and expects identical
 // sweeps.
-func TestOffLockTraceMatchesLockedTrace(t *testing.T) {
-	for _, locked := range []bool{false, true} {
+func TestInlineTraceMatchesParallelTrace(t *testing.T) {
+	for _, workers := range []int{0, 1, 4} {
 		net := transport.NewNet(transport.Options{Stepped: true})
-		s := New(Config{ID: 1, Network: net, SuspicionThreshold: 3, BackThreshold: 7, LockedTrace: locked})
+		s := New(Config{ID: 1, Network: net, SuspicionThreshold: 3, BackThreshold: 7, TraceWorkers: workers})
 		root := s.NewRootObject()
 		kept := s.NewObject()
 		if err := s.AddReference(root.Obj, kept); err != nil {
@@ -111,10 +111,10 @@ func TestOffLockTraceMatchesLockedTrace(t *testing.T) {
 		s.NewObject()
 		rep := s.RunLocalTrace()
 		if rep.Collected != 2 {
-			t.Fatalf("locked=%v: collected %d, want 2", locked, rep.Collected)
+			t.Fatalf("workers=%d: collected %d, want 2", workers, rep.Collected)
 		}
 		if !s.ContainsObject(kept.Obj) || !s.ContainsObject(root.Obj) {
-			t.Fatalf("locked=%v: live objects swept", locked)
+			t.Fatalf("workers=%d: live objects swept", workers)
 		}
 		net.Close()
 	}

@@ -23,18 +23,18 @@
 //     touch iorefs or send messages, and all message handlers, remain
 //     short critical sections under the write lock, matching the
 //     paper's model.
-//   - The local trace computation (tracer.Run: forward mark + outset
-//     computation) runs entirely OUTSIDE the lock, on a snapshot of the
-//     heap and ioref tables taken under a short critical section —
-//     shards are snapshotted concurrently, and with Config.TraceWorkers
-//     above one the forward mark itself runs as a work-stealing
-//     parallel trace with results bit-identical to the sequential
-//     tracer. The
-//     Section 6.2 double-buffered back information makes this safe: back
-//     traces keep using the old copy, and transfer barriers that fire
-//     during the computation are recorded and replayed onto the new copy
-//     at commit. Config.LockedTrace restores the old
-//     whole-trace-under-the-lock behaviour for baseline benchmarks.
+//   - The local trace computation (tracer.Marker: dense forward mark +
+//     outset computation) runs entirely OUTSIDE the lock, on a snapshot
+//     of the heap and ioref tables taken under a short critical section.
+//     Heap objects are immutable (field mutators install fresh ones), so
+//     the snapshot is copy-on-write: one map clone per shard, shards
+//     cloned concurrently, no per-object copy. With Config.TraceWorkers
+//     at most one the mark runs inline on the tracing goroutine; above
+//     one it runs as a work-stealing parallel trace with bit-identical
+//     results. The Section 6.2 double-buffered back information makes
+//     this safe: back traces keep using the old copy, and transfer
+//     barriers that fire during the computation are recorded and
+//     replayed onto the new copy at commit.
 //   - Introspection (Inrefs, Outrefs, counters, heap size, audits) takes
 //     only the read lock, so tools and experiments never stall collectors.
 //   - With Config.InboxSize > 0 the site runs a mailbox executor: network
@@ -126,13 +126,9 @@ type Config struct {
 	// message on the caller's thread — required for the deterministic
 	// stepped replays. Sites with an inbox must be Close()d.
 	InboxSize int
-	// LockedTrace, when true, computes local traces entirely under the
-	// site lock (the pre-mailbox design). It exists as the baseline for
-	// the off-lock benchmarks; leave it false otherwise.
-	LockedTrace bool
 	// Incremental enables incremental local tracing: mutator write
 	// barriers track dirty objects and iorefs, BeginLocalTrace takes
-	// O(dirty) patched snapshots instead of deep copies, and the tracer
+	// O(dirty) patched snapshots instead of O(heap) map clones, and the tracer
 	// remarks from the dirty set — reusing the previous trace's marks,
 	// distances, and back information — whenever every change since the
 	// last trace was monotone, falling back to a full trace otherwise.
@@ -147,14 +143,15 @@ type Config struct {
 	// Shards requests a minimum shard count for the heap and ioref table.
 	// The site always uses max(GOMAXPROCS, Shards) shards, so mutator
 	// operations on distinct objects contend on distinct locks and trace
-	// snapshots copy/patch shards concurrently. Shard count never affects
+	// snapshots clone/patch shards concurrently. Shard count never affects
 	// observable results — only lock granularity and snapshot parallelism.
 	Shards int
 	// TraceWorkers is the number of mark workers local traces run with.
-	// Above one, full traces use the work-stealing parallel marker and
-	// incremental remarks relax dirty seeds on a worker pool; results are
-	// bit-identical to the sequential tracer. Zero or one keeps the
-	// sequential path.
+	// Every full trace uses the dense marker (tracer.Marker). Zero or one
+	// runs it inline on the tracing goroutine, spawning no goroutines;
+	// above one, the mark runs on a work-stealing pool and incremental
+	// remarks relax dirty seeds on one. Results are bit-identical at
+	// every worker count.
 	TraceWorkers int
 	// Clock supplies every timestamp the site takes: span start/end times,
 	// mailbox queue-delay accounting, and the engine's timeout deadlines.
@@ -247,11 +244,11 @@ type Site struct {
 	pendingBarrierOutrefs []ids.Ref
 
 	// incr carries trace-to-trace state for incremental local traces
-	// (Config.Incremental); scratch holds the reusable full-trace buffers
-	// used otherwise. Both are guarded by traceMu, not mu: they are
+	// (Config.Incremental); full keeps the dense mark table for full
+	// traces otherwise. Both are guarded by traceMu, not mu: they are
 	// touched only inside a local-trace lifecycle.
-	incr    *tracer.Incremental
-	scratch *tracer.Scratch
+	incr *tracer.Incremental
+	full tracer.Marker
 
 	liveStreak int // consecutive Live outcomes, for AdaptiveThreshold
 
@@ -365,9 +362,8 @@ func New(cfg Config) *Site {
 			MaxDirtyRatio: cfg.MaxDirtyRatio,
 			Workers:       cfg.TraceWorkers,
 		}
-	} else {
-		s.scratch = &tracer.Scratch{}
 	}
+	s.full.Workers = cfg.TraceWorkers
 	reg := cfg.Counters.Registry()
 	s.histRTT = reg.Histogram(obs.MetricBackTraceRTT,
 		"wall-clock duration of back traces initiated by this site", nil)

@@ -3,7 +3,8 @@
 // computation of back information — the outsets of suspected inrefs and,
 // equivalently, the insets of suspected outrefs (Section 5).
 //
-// The tracer is a pure computation: Run reads the heap and ioref tables and
+// The tracer is a pure computation: a full trace (Marker.Run, dense.go) or
+// an incremental one (Incremental.Run) reads the heap and ioref tables and
 // produces a Result; the owning Site decides when to apply it (the paper's
 // Section 6.2 double-buffering of back information falls out of this
 // split — the Site keeps using the old BackInfo until it commits the new

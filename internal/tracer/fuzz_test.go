@@ -24,54 +24,9 @@ func FuzzOutsetAlgorithmsAgree(f *testing.F) {
 		if len(data) < 4 {
 			return
 		}
-		const n = 12 // objects
-		h := heap.New(1)
-		tbl := refs.NewTable(1, 1<<20)
-		objs := make([]ids.Ref, n)
-		for i := range objs {
-			objs[i] = h.Alloc()
-		}
-		pos := 0
-		next := func() byte {
-			b := data[pos%len(data)]
-			pos++
-			return b
-		}
-		threshold := int(next() % 5)
-		if next()%2 == 0 {
-			if err := h.MarkPersistentRoot(objs[0].Obj); err != nil {
-				t.Fatal(err)
-			}
-		}
-		edges := int(next()%32) + 1
-		for i := 0; i < edges; i++ {
-			from := objs[int(next())%n]
-			switch next() % 4 {
-			case 0: // remote reference
-				target := ids.MakeRef(ids.SiteID(2+next()%3), ids.ObjID(1+next()%8))
-				if err := h.AddField(from.Obj, target); err != nil {
-					t.Fatal(err)
-				}
-				tbl.EnsureOutref(target)
-				if o, ok := tbl.Outref(target); ok {
-					o.Barrier = false
-				}
-			default: // local reference
-				if err := h.AddField(from.Obj, objs[int(next())%n]); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		inrefs := int(next() % 8)
-		for i := 0; i < inrefs; i++ {
-			obj := objs[int(next())%n]
-			src := ids.SiteID(2 + next()%3)
-			tbl.AddSource(obj.Obj, src)
-			tbl.SetSourceDistance(obj.Obj, src, int(next()%12))
-		}
-
-		ind := Run(h, tbl, threshold, AlgoIndependent)
-		bu := Run(h, tbl, threshold, AlgoBottomUp)
+		h, tbl, threshold := fuzzSite(t, data, 1)
+		ind := trace(t, h, tbl, threshold, AlgoIndependent)
+		bu := trace(t, h, tbl, threshold, AlgoBottomUp)
 
 		if !reflect.DeepEqual(ind.Marked, bu.Marked) {
 			t.Fatalf("mark phases differ")
@@ -95,5 +50,71 @@ func FuzzOutsetAlgorithmsAgree(f *testing.F) {
 		if ind.Back.Entries() != bu.Back.Entries() {
 			t.Fatalf("entry counts differ")
 		}
+		// The dense path must match the map oracle at every worker and
+		// shard count.
+		for _, shards := range []int{1, 4} {
+			hs, ts, _ := fuzzSite(t, data, shards)
+			for _, algo := range []OutsetAlgorithm{AlgoIndependent, AlgoBottomUp} {
+				want := runOracle(h, tbl, threshold, algo)
+				for _, workers := range []int{1, 2, 8} {
+					if got := RunParallel(hs, ts, threshold, algo, workers); !EqualResults(got, want) {
+						t.Fatalf("shards %d workers %d algo %v: dense result diverges from the oracle", shards, workers, algo)
+					}
+				}
+			}
+		}
 	})
+}
+
+// fuzzSite decodes a fuzz input into a single-site graph on a heap and
+// table with the given shard count, returning them with the decoded
+// threshold. The same input decodes to the same graph at every shard
+// count.
+func fuzzSite(t *testing.T, data []byte, shards int) (*heap.Heap, *refs.Table, int) {
+	const n = 12 // objects
+	h := heap.NewSharded(1, shards)
+	tbl := refs.NewTableSharded(1, 1<<20, shards)
+	objs := make([]ids.Ref, n)
+	for i := range objs {
+		objs[i] = h.Alloc()
+	}
+	pos := 0
+	next := func() byte {
+		b := data[pos%len(data)]
+		pos++
+		return b
+	}
+	threshold := int(next() % 5)
+	if next()%2 == 0 {
+		if err := h.MarkPersistentRoot(objs[0].Obj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edges := int(next()%32) + 1
+	for i := 0; i < edges; i++ {
+		from := objs[int(next())%n]
+		switch next() % 4 {
+		case 0: // remote reference
+			target := ids.MakeRef(ids.SiteID(2+next()%3), ids.ObjID(1+next()%8))
+			if err := h.AddField(from.Obj, target); err != nil {
+				t.Fatal(err)
+			}
+			tbl.EnsureOutref(target)
+			if o, ok := tbl.Outref(target); ok {
+				o.Barrier = false
+			}
+		default: // local reference
+			if err := h.AddField(from.Obj, objs[int(next())%n]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	inrefs := int(next() % 8)
+	for i := 0; i < inrefs; i++ {
+		obj := objs[int(next())%n]
+		src := ids.SiteID(2 + next()%3)
+		tbl.AddSource(obj.Obj, src)
+		tbl.SetSourceDistance(obj.Obj, src, int(next()%12))
+	}
+	return h, tbl, threshold
 }

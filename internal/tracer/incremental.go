@@ -49,12 +49,13 @@ type Incremental struct {
 	MaxDirtyRatio float64
 
 	// Workers selects the mark parallelism: above one, full-trace
-	// fallbacks run the work-stealing RunParallel and remarks relax their
-	// seeds on a work-stealing pool over the shard-partitioned mark set.
-	// The committed result is identical either way; see parallel.go for
-	// the fixpoint argument.
+	// fallbacks run the dense mark on a work-stealing pool and remarks
+	// relax their seeds on one over the shard-partitioned mark set. The
+	// committed result is identical either way; see dense.go for the
+	// fixpoint argument.
 	Workers int
 
+	full    Marker // full traces, reusing its mark table
 	prevRes *Result
 	algo    OutsetAlgorithm
 
@@ -80,9 +81,9 @@ func (inc *Incremental) Reset() {
 
 // Run performs a local trace on the snapshot (h, tbl), using the deltas to
 // remark incrementally when possible and falling back to a full trace
-// otherwise. The result is identical to Run(h, tbl, threshold, algo) either
-// way. The previous Run's Result and the maps inside it are reused and must
-// no longer be read by the caller.
+// otherwise. The result is identical to a full Marker trace either way.
+// The previous Run's Result and the maps inside it are reused and must no
+// longer be read by the caller.
 func (inc *Incremental) Run(h *heap.Heap, tbl *refs.Table, hd *heap.Delta, td *refs.Delta, threshold int, algo OutsetAlgorithm) *Result {
 	inc.Runs++
 	reason := inc.fallbackReason(h, hd, td, threshold, algo)
@@ -93,7 +94,8 @@ func (inc *Incremental) Run(h *heap.Heap, tbl *refs.Table, hd *heap.Delta, td *r
 		return res
 	}
 	inc.FullTraces++
-	res := RunParallel(h, tbl, threshold, algo, inc.Workers)
+	inc.full.Workers = inc.Workers
+	res := inc.full.Run(h, tbl, threshold, algo)
 	res.Stats.FallbackReason = reason
 	inc.prevRes, inc.algo = res, algo
 	return res
@@ -261,17 +263,7 @@ func (inc *Incremental) remark(h *heap.Heap, tbl *refs.Table, hd *heap.Delta, td
 		}
 	}
 
-	// Untraced and suspected-outref stats are O(outrefs), not O(heap).
-	for _, o := range tbl.Outrefs() {
-		if _, ok := outrefDist[o.Target]; !ok {
-			res.Untraced = append(res.Untraced, o.Target)
-		}
-	}
-	for _, d := range outrefDist {
-		if d > threshold+1 {
-			res.Stats.SuspectedOutrefs++
-		}
-	}
+	res.Untraced, res.Stats.SuspectedOutrefs = classifyOutrefs(tbl, outrefDist, threshold)
 
 	if !touched {
 		res.Back = prev.Back
@@ -280,16 +272,7 @@ func (inc *Incremental) remark(h *heap.Heap, tbl *refs.Table, hd *heap.Delta, td
 		inc.OutsetReuses++
 	} else {
 		env := &outsetEnv{h: h, tbl: tbl, mr: &markResult{marked: marked, outrefDist: outrefDist}, threshold: threshold}
-		var (
-			outsets map[ids.ObjID][]ids.Ref
-			ost     outsetStats
-		)
-		switch algo {
-		case AlgoIndependent:
-			outsets, ost = outsetsIndependent(env)
-		default:
-			outsets, ost = outsetsBottomUp(env)
-		}
+		outsets, ost := computeOutsets(env, algo)
 		res.Back = NewBackInfo(outsets)
 		res.Stats.OutsetVisits = ost.objectsVisited
 		res.Stats.OutsetRetraced = ost.objectsRetraced

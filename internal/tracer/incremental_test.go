@@ -54,7 +54,7 @@ func sameResult(t *testing.T, ctx string, inc, full *Result) {
 // randomized mutation sequences (mirroring the legal site flows — monotone
 // mutations most rounds, occasional invalidating ones to exercise the
 // fallback), every Incremental.Run result must be identical to a full
-// tracer.Run on a deep snapshot of the same state. Dead objects are swept
+// map-oracle trace on a snapshot of the same state. Dead objects are swept
 // after each trace, as the site's commit does, which is what makes the
 // incremental dead-set rule exact.
 func TestIncrementalEquivalence(t *testing.T) {
@@ -150,8 +150,8 @@ func TestIncrementalEquivalence(t *testing.T) {
 					mutate(allowInvalidating)
 				}
 
-				// Full trace on an independent deep copy of the same state.
-				want := Run(h.Snapshot(), tbl.Snapshot(), threshold, AlgoBottomUp)
+				// Full trace on an independent snapshot of the same state.
+				want := runOracle(h.Snapshot(), tbl.Snapshot(), threshold, AlgoBottomUp)
 
 				sh, hd := h.TraceSnapshot()
 				stbl, td := tbl.TraceSnapshot()

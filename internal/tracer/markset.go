@@ -63,10 +63,3 @@ func (m *MarkSet) Len() int {
 	}
 	return n
 }
-
-// Clear removes all marks, keeping the shard maps allocated for reuse.
-func (m *MarkSet) Clear() {
-	for _, sh := range m.shards {
-		clear(sh)
-	}
-}

@@ -2,42 +2,15 @@ package tracer
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"backtrace/internal/heap"
 	"backtrace/internal/ids"
-	"backtrace/internal/refs"
 )
 
-// This file implements the parallel local trace: a work-stealing mark whose
-// result is bit-identical to the sequential tracer's.
-//
-// Why the results agree: the sequential forward mark of Sections 2–3
-// processes roots in ascending distance order with single marking, so an
-// object's mark is the MINIMUM root distance over the roots that reach it,
-// and an outref's distance is one plus the minimum final mark over the
-// objects holding it (folded with the distance-1 application-root seeds).
-// Both are minimum fixpoints of improve-only relaxation, and a fixpoint
-// does not care about evaluation order: the parallel mark runs the same
-// relaxation with a compare-and-swap minimum per object and re-queues an
-// object whenever its mark improves, so every object is eventually scanned
-// at its final mark and every outref sees one-plus-that. The merge then
-// sorts everything the sequential path sorts (dead objects, untraced and
-// missing outrefs) and partitions marks by the same heap-shard hash, so
-// maps and slices compare DeepEqual against a sequential run on the same
-// snapshot. Scheduling-dependent quantities (scan counts, steals) live only
-// in Stats, which equivalence deliberately ignores.
-//
-// The mark table is a dense []int64 indexed by object id (the heap's
-// allocation high-water mark bounds it), storing distance+1 so the zero
-// value means "unmarked" and no sentinel fill pass is needed. Workers CAS
-// ids without checking heap membership first — marking a deleted or absent
-// id is harmless, because scans look the object up (and skip it) and
-// materialization walks heap shards, never the dense array, so phantom
-// marks can't leak into the result.
+// This file implements the work-stealing relaxation engine shared by the
+// multi-worker full trace (dense.go) and the parallel incremental remark
+// (incremental.go).
 
 // parChunk is the granularity of work stealing: workers keep a private
 // LIFO stack for locality and expose surplus in chunks of this size.
@@ -185,237 +158,4 @@ func (w *parWorker) processChunk(c []ids.ObjID) {
 		w.eng.scan(w, obj)
 	}
 	w.eng.pending.Add(-1)
-}
-
-// casMin lowers *addr to v if v improves on the current value (0 means
-// unset). It reports whether it improved — the caller must then re-queue
-// the object so it is rescanned at the new, lower mark.
-func casMin(addr *int64, v int64) bool {
-	for {
-		old := atomic.LoadInt64(addr)
-		if old != 0 && old <= v {
-			return false
-		}
-		if atomic.CompareAndSwapInt64(addr, old, v) {
-			return true
-		}
-	}
-}
-
-// RunParallel performs the same local trace as Run with the given number of
-// mark workers, producing a bit-identical Result (Stats excepted). Workers
-// of one or less delegate to the sequential path. Like Run it does not
-// modify the heap or tables; unlike Run it requires that nothing else
-// mutates them while it executes (the site guarantees this by tracing
-// snapshots).
-func RunParallel(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAlgorithm, workers int) *Result {
-	if workers <= 1 {
-		return Run(h, tbl, threshold, algo)
-	}
-	start := time.Now()
-	mr, steals := parallelMark(h, tbl, workers)
-
-	env := &outsetEnv{h: h, tbl: tbl, mr: mr, threshold: threshold}
-	var (
-		outsets map[ids.ObjID][]ids.Ref
-		ost     outsetStats
-	)
-	switch algo {
-	case AlgoIndependent:
-		outsets, ost = outsetsIndependent(env)
-	default:
-		outsets, ost = outsetsBottomUp(env)
-	}
-
-	res := &Result{
-		Threshold:  threshold,
-		Marked:     mr.marked,
-		OutrefDist: mr.outrefDist,
-		Missing:    mr.missingOutrefs,
-		Back:       NewBackInfo(outsets),
-		Stats: Stats{
-			ObjectsTraced:   mr.objectsTraced,
-			OutsetVisits:    ost.objectsVisited,
-			OutsetRetraced:  ost.objectsRetraced,
-			Unions:          ost.unions,
-			MemoHits:        ost.memoHits,
-			SuspectedInrefs: len(outsets),
-			Workers:         workers,
-			Steals:          steals,
-		},
-	}
-
-	res.Dead = parallelDead(h, mr.marked)
-	for _, o := range tbl.Outrefs() {
-		if _, ok := mr.outrefDist[o.Target]; !ok {
-			res.Untraced = append(res.Untraced, o.Target)
-		}
-	}
-	for _, d := range mr.outrefDist {
-		if d > threshold+1 {
-			res.Stats.SuspectedOutrefs++
-		}
-	}
-	res.Stats.Duration = time.Since(start)
-	return res
-}
-
-// parallelMark runs the work-stealing relaxation and returns the merged
-// mark result plus the steal count.
-func parallelMark(h *heap.Heap, tbl *refs.Table, workers int) (*markResult, int64) {
-	marks := make([]int64, uint64(h.NextID())+1)
-	site := h.Site()
-
-	// Collect roots and seed the dense mark table; duplicate seeds of one
-	// object are fine (rescans are idempotent).
-	var seeds []ids.ObjID
-	seedMark := func(obj ids.ObjID, dist int) {
-		if uint64(obj) >= uint64(len(marks)) {
-			return
-		}
-		if casMin(&marks[obj], int64(dist)+1) {
-			seeds = append(seeds, obj)
-		}
-	}
-	for _, obj := range h.PersistentRoots() {
-		seedMark(obj, 0)
-	}
-	// Remote application roots seed outref distances at 1, exactly like
-	// the sequential path; they participate in the final minimum merge.
-	appSeeds := make(map[ids.Ref]int)
-	for _, r := range h.AppRoots() {
-		if r.Site == site {
-			seedMark(r.Obj, 0)
-		} else {
-			appSeeds[r] = 1
-		}
-	}
-	for _, in := range tbl.Inrefs() {
-		if in.Garbage {
-			continue
-		}
-		seedMark(in.Obj, in.Distance())
-	}
-
-	eng := newParEngine(workers, func(w *parWorker, obj ids.ObjID) {
-		w.scanned++
-		enc := atomic.LoadInt64(&marks[obj])
-		o, ok := h.Get(obj)
-		if !ok {
-			return // phantom mark: id not (or no longer) in the heap
-		}
-		d := int(enc - 1)
-		for i := 0; i < o.NumFields(); i++ {
-			f := o.Field(i)
-			if f.IsZero() {
-				continue
-			}
-			if f.Site == site {
-				if uint64(f.Obj) >= uint64(len(marks)) {
-					continue
-				}
-				if casMin(&marks[f.Obj], enc) {
-					w.push(f.Obj)
-				}
-				continue
-			}
-			nd := refs.AddDist(d, 1)
-			if cur, ok := w.outMin[f]; !ok || nd < cur {
-				w.outMin[f] = nd
-			}
-		}
-	})
-	eng.seed(seeds)
-	eng.run()
-
-	res := &markResult{outrefDist: make(map[ids.Ref]int)}
-	for r, d := range appSeeds {
-		res.outrefDist[r] = d
-	}
-	for _, w := range eng.workers {
-		res.objectsTraced += w.scanned
-		for r, d := range w.outMin {
-			if cur, ok := res.outrefDist[r]; !ok || d < cur {
-				res.outrefDist[r] = d
-			}
-		}
-	}
-	for r := range res.outrefDist {
-		if _, ok := tbl.Outref(r); !ok {
-			res.missingOutrefs = append(res.missingOutrefs, r)
-		}
-	}
-	sort.Slice(res.missingOutrefs, func(i, j int) bool {
-		return res.missingOutrefs[i].Less(res.missingOutrefs[j])
-	})
-
-	// Materialize per-shard mark maps concurrently from the dense array;
-	// only objects actually in the heap are consulted, which filters the
-	// phantom marks.
-	res.marked = NewMarkSet(h.NumShards())
-	var wg sync.WaitGroup
-	for i := 0; i < h.NumShards(); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Pre-size to the shard's population: marks are the common case,
-			// and a too-large hint only wastes buckets, never correctness
-			// (map capacity is invisible to DeepEqual).
-			m := make(map[ids.ObjID]int, h.ShardLen(i))
-			res.marked.shards[i] = m
-			h.EachObjectInShard(i, func(id ids.ObjID, _ *heap.Object) {
-				if enc := atomic.LoadInt64(&marks[id]); enc != 0 {
-					m[id] = int(enc - 1)
-				}
-			})
-		}(i)
-	}
-	wg.Wait()
-	return res, eng.steals.Load()
-}
-
-// parallelDead collects the unmarked heap objects: per-shard collection and
-// sort on one goroutine per shard, then a k-way merge into the globally
-// ascending order the sequential path produces.
-func parallelDead(h *heap.Heap, ms *MarkSet) []ids.ObjID {
-	parts := make([][]ids.ObjID, h.NumShards())
-	var wg sync.WaitGroup
-	for i := 0; i < h.NumShards(); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m := ms.Shard(i)
-			h.EachObjectInShard(i, func(id ids.ObjID, _ *heap.Object) {
-				if _, ok := m[id]; !ok {
-					parts[i] = append(parts[i], id)
-				}
-			})
-			sort.Slice(parts[i], func(a, b int) bool { return parts[i][a] < parts[i][b] })
-		}(i)
-	}
-	wg.Wait()
-
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total == 0 {
-		return nil
-	}
-	dead := make([]ids.ObjID, 0, total)
-	heads := make([]int, len(parts))
-	for len(dead) < total {
-		best := -1
-		for i, p := range parts {
-			if heads[i] >= len(p) {
-				continue
-			}
-			if best < 0 || p[heads[i]] < parts[best][heads[best]] {
-				best = i
-			}
-		}
-		dead = append(dead, parts[best][heads[best]])
-		heads[best]++
-	}
-	return dead
 }

@@ -68,7 +68,7 @@ func mutateState(rng *rand.Rand, h *heap.Heap, tbl *refs.Table, objs *[]ids.Ref,
 
 // TestParallelEquivalence is the bit-identical property for full traces:
 // over seeded randomized states on varying shard counts, RunParallel must
-// match sequential Run on every comparable result field, for every worker
+// match the map oracle on every comparable result field, for every worker
 // count in {1, 2, 4, 8} and both outset algorithms.
 func TestParallelEquivalence(t *testing.T) {
 	const (
@@ -96,7 +96,7 @@ func TestParallelEquivalence(t *testing.T) {
 				for step := 0; step < 25; step++ {
 					mutateState(rng, h, tbl, &objs, threshold, round%4 == 3)
 				}
-				want := Run(h, tbl, threshold, algo)
+				want := runOracle(h, tbl, threshold, algo)
 				for _, workers := range []int{1, 2, 4, 8} {
 					got := RunParallel(h, tbl, threshold, algo, workers)
 					sameResult(t, fmt.Sprintf("seed %d round %d shards %d workers %d algo %v",
@@ -152,7 +152,7 @@ func TestParallelIncrementalEquivalence(t *testing.T) {
 						mutateState(rng, h, tbl, &objs, threshold, round%4 == 3)
 					}
 				}
-				want := Run(h.Snapshot(), tbl.Snapshot(), threshold, AlgoBottomUp)
+				want := runOracle(h.Snapshot(), tbl.Snapshot(), threshold, AlgoBottomUp)
 
 				sh, hd := h.TraceSnapshot()
 				stbl, td := tbl.TraceSnapshot()

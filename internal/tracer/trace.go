@@ -1,12 +1,6 @@
 package tracer
 
-import (
-	"sort"
-
-	"backtrace/internal/heap"
-	"backtrace/internal/ids"
-	"backtrace/internal/refs"
-)
+import "backtrace/internal/ids"
 
 // root is one starting point of the forward trace: a local object together
 // with the distance of the root it represents (0 for persistent and
@@ -30,119 +24,7 @@ type markResult struct {
 	// objects for which the outref table has no entry — a protocol
 	// invariant violation surfaced for tests.
 	missingOutrefs []ids.Ref
-	// objectsTraced counts objects scanned (each exactly once).
+	// objectsTraced counts object scans (each object exactly once on the
+	// one-worker path; rescans on improvement with several workers).
 	objectsTraced int64
-}
-
-// forwardMark performs the distance-ordered local trace of Sections 2–3:
-//
-//   - roots are the persistent roots and application roots (distance 0,
-//     Section 6.3) and every inref not flagged garbage (its own distance);
-//   - roots are traced in increasing distance order, each object is scanned
-//     exactly once, and when the trace first reaches an outref its distance
-//     becomes one plus the distance of the root being traced.
-//
-// Remote references held directly in application-root variables mark the
-// corresponding outrefs at distance 1.
-func forwardMark(h *heap.Heap, tbl *refs.Table, sc *Scratch) *markResult {
-	res := &markResult{}
-	var roots []root
-	var stack []ids.ObjID
-	if sc != nil {
-		if sc.marked == nil || sc.marked.NumShards() != h.NumShards() {
-			sc.marked = NewMarkSet(h.NumShards())
-			sc.outrefDist = make(map[ids.Ref]int)
-		}
-		sc.marked.Clear()
-		clear(sc.outrefDist)
-		res.marked = sc.marked
-		res.outrefDist = sc.outrefDist
-		roots = sc.roots[:0]
-		stack = sc.stack[:0]
-	} else {
-		res.marked = NewMarkSet(h.NumShards())
-		res.outrefDist = make(map[ids.Ref]int)
-	}
-
-	for _, obj := range h.PersistentRoots() {
-		roots = append(roots, root{obj: obj, dist: 0})
-	}
-	for _, r := range h.AppRoots() {
-		if r.Site == h.Site() {
-			roots = append(roots, root{obj: r.Obj, dist: 0})
-		} else if _, ok := res.outrefDist[r]; !ok {
-			// A variable holding a remote reference is a root one
-			// inter-site hop away from the target.
-			res.outrefDist[r] = 1
-			if _, ok := tbl.Outref(r); !ok {
-				res.missingOutrefs = append(res.missingOutrefs, r)
-			}
-		}
-	}
-	for _, in := range tbl.Inrefs() {
-		if in.Garbage {
-			// Flagged by a completed back trace: no longer a root, so
-			// the local trace collects the cycle (Section 4.5).
-			continue
-		}
-		roots = append(roots, root{obj: in.Obj, dist: in.Distance()})
-	}
-
-	// Ascending distance; ties broken by object id for determinism.
-	sort.Slice(roots, func(i, j int) bool {
-		if roots[i].dist != roots[j].dist {
-			return roots[i].dist < roots[j].dist
-		}
-		return roots[i].obj < roots[j].obj
-	})
-
-	for _, rt := range roots {
-		if !h.Contains(rt.obj) {
-			continue
-		}
-		if _, ok := res.marked.Get(rt.obj); ok {
-			continue
-		}
-		res.marked.Set(rt.obj, rt.dist)
-		stack = append(stack[:0], rt.obj)
-		for len(stack) > 0 {
-			obj := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			res.objectsTraced++
-			o, ok := h.Get(obj)
-			if !ok {
-				continue
-			}
-			for i := 0; i < o.NumFields(); i++ {
-				f := o.Field(i)
-				if f.IsZero() {
-					continue
-				}
-				if f.Site == h.Site() {
-					if !h.Contains(f.Obj) {
-						continue
-					}
-					if _, seen := res.marked.Get(f.Obj); !seen {
-						res.marked.Set(f.Obj, rt.dist)
-						stack = append(stack, f.Obj)
-					}
-					continue
-				}
-				// Remote reference: first reach sets the outref's
-				// distance (Section 3: "its distance is set to one plus
-				// that of the inref being traced").
-				if _, seen := res.outrefDist[f]; !seen {
-					res.outrefDist[f] = refs.AddDist(rt.dist, 1)
-					if _, ok := tbl.Outref(f); !ok {
-						res.missingOutrefs = append(res.missingOutrefs, f)
-					}
-				}
-			}
-		}
-	}
-	if sc != nil {
-		sc.roots = roots
-		sc.stack = stack
-	}
-	return res
 }

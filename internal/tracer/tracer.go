@@ -2,10 +2,8 @@ package tracer
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"backtrace/internal/heap"
 	"backtrace/internal/ids"
 	"backtrace/internal/refs"
 )
@@ -36,8 +34,9 @@ func (a OutsetAlgorithm) String() string {
 
 // Stats reports the cost of one local trace.
 type Stats struct {
-	// ObjectsTraced counts objects scanned by the forward marking phase
-	// (each exactly once).
+	// ObjectsTraced counts object scans by the forward marking phase: each
+	// reached object exactly once on the one-worker path, plus rescans
+	// after a mark improvement with several workers.
 	ObjectsTraced int64
 	// OutsetVisits counts object scans during outset computation.
 	OutsetVisits int64
@@ -70,24 +69,10 @@ type Stats struct {
 	OutsetsReused bool
 
 	// Workers is the number of mark workers the trace ran with (1 for the
-	// sequential path); Steals counts work-stealing events between their
+	// inline path); Steals counts work-stealing events between their
 	// deques. Scheduling-dependent, so excluded from result equivalence.
 	Workers int
 	Steals  int64
-}
-
-// Scratch holds reusable trace buffers so consecutive full traces stop
-// allocating fresh mark and distance maps every round. A Result produced
-// with a Scratch aliases its maps and slices: it is valid only until the
-// next Run with the same Scratch. The owning Site commits each result
-// before starting the next trace, which provides exactly that lifetime.
-type Scratch struct {
-	marked     *MarkSet
-	outrefDist map[ids.Ref]int
-	roots      []root
-	stack      []ids.ObjID
-	dead       []ids.ObjID
-	untraced   []ids.Ref
 }
 
 // Result is the outcome of one local trace, computed without mutating the
@@ -133,75 +118,28 @@ func (r *Result) IsLiveObj(obj ids.ObjID) bool {
 	return ok
 }
 
-// Run performs a local trace of the heap at the given suspicion threshold:
-// the distance-ordered forward mark of Sections 2–3 followed by the
-// Section 5 computation of back information with the selected algorithm.
-// It does not modify the heap or the tables, so it may run on a Snapshot
-// of both while the live site state keeps changing — the off-lock local
-// trace enabled by the Section 6.2 double buffering.
-func Run(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAlgorithm) *Result {
-	return RunWithScratch(h, tbl, threshold, algo, nil)
+// computeOutsets runs the selected Section 5 algorithm over a finished
+// forward mark.
+func computeOutsets(env *outsetEnv, algo OutsetAlgorithm) (map[ids.ObjID][]ids.Ref, outsetStats) {
+	if algo == AlgoIndependent {
+		return outsetsIndependent(env)
+	}
+	return outsetsBottomUp(env)
 }
 
-// RunWithScratch is Run reusing the buffers in sc (which may be nil). See
-// Scratch for the aliasing contract.
-func RunWithScratch(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAlgorithm, sc *Scratch) *Result {
-	start := time.Now()
-	mr := forwardMark(h, tbl, sc)
-
-	env := &outsetEnv{h: h, tbl: tbl, mr: mr, threshold: threshold}
-	var (
-		outsets map[ids.ObjID][]ids.Ref
-		ost     outsetStats
-	)
-	switch algo {
-	case AlgoIndependent:
-		outsets, ost = outsetsIndependent(env)
-	default:
-		outsets, ost = outsetsBottomUp(env)
-	}
-
-	res := &Result{
-		Threshold:  threshold,
-		Marked:     mr.marked,
-		OutrefDist: mr.outrefDist,
-		Missing:    mr.missingOutrefs,
-		Back:       NewBackInfo(outsets),
-		Stats: Stats{
-			ObjectsTraced:   mr.objectsTraced,
-			OutsetVisits:    ost.objectsVisited,
-			OutsetRetraced:  ost.objectsRetraced,
-			Unions:          ost.unions,
-			MemoHits:        ost.memoHits,
-			SuspectedInrefs: len(outsets),
-		},
-	}
-	if sc != nil {
-		res.Dead = sc.dead[:0]
-		res.Untraced = sc.untraced[:0]
-	}
-
-	for _, obj := range h.Objects() {
-		if _, ok := mr.marked.Get(obj); !ok {
-			res.Dead = append(res.Dead, obj)
-		}
-	}
+// classifyOutrefs lists the table's outrefs the trace did not reach (in the
+// table's ascending order) and counts the reached ones that are suspected
+// (distance beyond threshold+1). It costs O(outrefs), not O(heap).
+func classifyOutrefs(tbl *refs.Table, outrefDist map[ids.Ref]int, threshold int) (untraced []ids.Ref, suspected int) {
 	for _, o := range tbl.Outrefs() {
-		if _, ok := mr.outrefDist[o.Target]; !ok {
-			res.Untraced = append(res.Untraced, o.Target)
+		if _, ok := outrefDist[o.Target]; !ok {
+			untraced = append(untraced, o.Target)
 		}
 	}
-	for _, d := range mr.outrefDist {
+	for _, d := range outrefDist {
 		if d > threshold+1 {
-			res.Stats.SuspectedOutrefs++
+			suspected++
 		}
 	}
-	sort.Slice(res.Untraced, func(i, j int) bool { return res.Untraced[i].Less(res.Untraced[j]) })
-	sort.Slice(res.Missing, func(i, j int) bool { return res.Missing[i].Less(res.Missing[j]) })
-	if sc != nil {
-		sc.dead = res.Dead
-		sc.untraced = res.Untraced
-	}
-	res.Stats.Duration = time.Since(start)
-	return res
+	return untraced, suspected
 }
