@@ -181,6 +181,9 @@ func New(opts Options) *Cluster {
 	var rel *transport.Reliable
 	if opts.Reliable {
 		rel = transport.NewReliable(net, transport.ReliableOptions{
+			// The first deadline and the floor of the measured one; the
+			// 1ms scan tick it implies also bounds how long an ack with
+			// no reverse data to ride waits.
 			RetransmitInitial: 3 * time.Millisecond,
 			Seed:              opts.Seed,
 			Clock:             opts.Clock,

@@ -174,8 +174,13 @@ const (
 	// LinkStaleDropped counts frames discarded for carrying an epoch older
 	// than the link's current session.
 	LinkStaleDropped = "link.stale_epoch_dropped"
-	// LinkAcksSent counts LinkAck frames sent by receivers.
+	// LinkAcksSent counts cumulative acks sent by receivers, standalone
+	// LinkAck frames and piggybacked ones alike.
 	LinkAcksSent = "link.acks_sent"
+	// LinkAcksPiggybacked counts the acks of LinkAcksSent that rode a
+	// LinkBatch carrying data toward the peer instead of a frame of their
+	// own.
+	LinkAcksPiggybacked = "link.acks_piggybacked"
 	// LinkResets counts link session resets (site restarts announced via
 	// LinkReset, and resets applied on receiving one).
 	LinkResets = "link.resets"

@@ -122,3 +122,14 @@ func TestMsgNameCoversAllTypes(t *testing.T) {
 	}
 	_ = ids.NoSite
 }
+
+// TestLinkAckCounterNames pins the ack counters' exported names: reports
+// and dashboards read them as strings.
+func TestLinkAckCounterNames(t *testing.T) {
+	if LinkAcksSent != "link.acks_sent" {
+		t.Errorf("LinkAcksSent = %q", LinkAcksSent)
+	}
+	if LinkAcksPiggybacked != "link.acks_piggybacked" {
+		t.Errorf("LinkAcksPiggybacked = %q", LinkAcksPiggybacked)
+	}
+}

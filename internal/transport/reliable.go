@@ -22,11 +22,16 @@ import (
 // whole re-suspicion round per dropped packet. Reliable removes that cost
 // on lossy substrates: every protocol message is wrapped in a LinkData
 // frame carrying a per-link (source, destination) monotone sequence number
-// and the sender's session epoch. Receivers acknowledge cumulatively,
-// deduplicate, and buffer out-of-order frames so handlers see every message
-// exactly once, in send order — R1 restored. Senders keep a bounded
-// in-flight window and retransmit unacknowledged frames on exponential
-// backoff with jitter.
+// and the sender's session epoch. Receivers deduplicate and buffer
+// out-of-order frames so handlers see every message exactly once, in send
+// order — R1 restored. Their cumulative acks are deferred: an owed ack
+// rides the next data frame toward the peer (a LinkBatch's ack fields), and
+// only an ack with no data to ride goes out alone, at the next flush or
+// retransmission scan (on two successive ones when it answers a
+// duplicate). Senders keep a bounded in-flight window and retransmit
+// unacknowledged frames after a deadline taken from the link's measured
+// round-trip time (RFC 6298, with Karn's rule), backing off exponentially
+// with jitter.
 //
 // Site crashes are handled with incarnation epochs: a restarted site (see
 // internal/site/persist.go) calls NotifyRestart, which bumps its epoch,
@@ -43,17 +48,22 @@ type ReliableOptions struct {
 	// beyond it queue at the sender until acks open the window. Defaults
 	// to 64.
 	Window int
-	// RetransmitInitial is the first ack deadline after a (re)transmission.
-	// Defaults to 15ms.
+	// RetransmitInitial is a link's ack deadline before its first
+	// round-trip sample, and the floor of the deadline measured after it
+	// (RTO = SRTT + 4·RTTVAR, RFC 6298, plus the receiver's longest ack
+	// deferral). Defaults to 15ms.
 	RetransmitInitial time.Duration
-	// RetransmitMax caps the exponential backoff. Defaults to 500ms.
+	// RetransmitMax caps the measured deadline and the exponential
+	// backoff. Defaults to 500ms.
 	RetransmitMax time.Duration
 	// RetransmitJitter is the fraction of the backoff added as uniform
 	// random extra delay, de-synchronizing retransmission bursts across
 	// links. Defaults to 0.25.
 	RetransmitJitter float64
-	// Tick is the granularity of the retransmission scan. Defaults to a
-	// third of RetransmitInitial (at least 1ms).
+	// Tick is the granularity of the retransmission scan. Without
+	// batching the scan also sends the acks no data frame carried, so it
+	// must stay below RetransmitInitial. Defaults to a third of
+	// RetransmitInitial (at least 1ms).
 	Tick time.Duration
 	// Seed seeds the jitter source, making retransmission schedules
 	// reproducible. Zero selects a fixed default.
@@ -65,13 +75,13 @@ type ReliableOptions struct {
 	// BatchMax, when positive, turns on link-level batching: messages for
 	// the same peer coalesce at the sender into one LinkBatch frame of up
 	// to BatchMax payloads, flushed every FlushInterval (or immediately
-	// when a batch fills). Acks the receiver owes are piggybacked on the
-	// next data batch toward that peer instead of sent as standalone
-	// LinkAck frames. Batching trades up to one FlushInterval of latency
-	// for far fewer envelopes on the wire; logical message counts and
-	// per-link FIFO order are unchanged.
+	// when a batch fills). Batching trades up to one FlushInterval of
+	// latency for far fewer envelopes on the wire; logical message counts
+	// and per-link FIFO order are unchanged. Acks are piggybacked on
+	// reverse data with or without batching.
 	BatchMax int
-	// FlushInterval is the batcher's flush cadence. Defaults to 1ms when
+	// FlushInterval is the batcher's flush cadence, at which unsent
+	// batches and acks no batch carried go out. Defaults to 1ms when
 	// BatchMax is set; it should stay well below RetransmitInitial so
 	// first transmissions never look like losses.
 	FlushInterval time.Duration
@@ -133,10 +143,21 @@ type linkKey struct {
 	from, to ids.SiteID
 }
 
+// owedAck is the cumulative ack a receiver owes a link's sender.
+type owedAck struct {
+	ack msg.LinkAck
+	// again is set when a duplicate arrived: the sender missed an earlier
+	// ack, so a standalone answer goes out on two successive flushes and
+	// losing one copy does not cost the sender another timeout.
+	again bool
+}
+
 // linkFrame is one unacknowledged message in a sender's window.
 type linkFrame struct {
-	seq uint64
-	m   msg.Message
+	seq    uint64
+	m      msg.Message
+	sentAt time.Time // first transmission (batching: set when flushed)
+	resent bool      // retransmitted: its ack yields no RTT sample (Karn)
 }
 
 // sendLink is the sender half of one link session.
@@ -149,6 +170,9 @@ type sendLink struct {
 	backoff  time.Duration
 	retryAt  time.Time
 	peerInc  uint64 // the peer's incarnation as last seen in an ack (0 = unknown)
+	// RFC 6298 round-trip estimator. srtt is 0 until the first sample;
+	// rto is the deadline armed after each (re)transmission or progress.
+	srtt, rttvar, rto time.Duration
 }
 
 // recvLink is the receiver half of one link session.
@@ -177,7 +201,7 @@ type Reliable struct {
 	sends       map[linkKey]*sendLink
 	recvs       map[linkKey]*recvLink
 	handlers    map[ids.SiteID]Handler
-	ackPending  map[linkKey]msg.LinkAck // batching: acks owed, awaiting piggyback or flush
+	ackPending  map[linkKey]owedAck // acks owed, awaiting piggyback or flush
 	rng         *rand.Rand
 	outstanding int           // frames in flight or queued across all links
 	idle        chan struct{} // non-nil while an AwaitIdle waits; closed at zero
@@ -205,7 +229,7 @@ func NewReliable(inner Network, opts ReliableOptions) *Reliable {
 		sends:       make(map[linkKey]*sendLink),
 		recvs:       make(map[linkKey]*recvLink),
 		handlers:    make(map[ids.SiteID]Handler),
-		ackPending:  make(map[linkKey]msg.LinkAck),
+		ackPending:  make(map[linkKey]owedAck),
 		rng:         rand.New(rand.NewSource(opts.Seed)),
 		done:        make(chan struct{}),
 	}
@@ -240,7 +264,8 @@ func (r *Reliable) Register(site ids.SiteID, h Handler) {
 
 // Send implements Network. The message is assigned the link's next sequence
 // number and retransmitted until acknowledged; if the in-flight window is
-// full it queues at the sender. Send never blocks on the receiver.
+// full it queues at the sender. Send never blocks on the receiver. An ack
+// owed to the peer rides the frame (see dataFrameLocked).
 //
 // With batching enabled the message is not transmitted here: it joins the
 // link's unsent tail and goes out in a LinkBatch at the next flush (or
@@ -258,19 +283,19 @@ func (r *Reliable) Send(from, to ids.SiteID, m msg.Message) {
 	r.outstanding++
 	var out []msg.Message
 	if len(sl.inflight) < r.opts.Window {
-		seq := sl.nextSeq
+		now := r.clk.Now()
+		sl.inflight = append(sl.inflight, linkFrame{seq: sl.nextSeq, m: m})
 		sl.nextSeq++
-		sl.inflight = append(sl.inflight, linkFrame{seq: seq, m: m})
 		if len(sl.inflight) == 1 {
-			r.armLocked(sl, r.clk.Now())
+			r.armLocked(sl, now)
 		}
 		if r.batching() {
 			sl.unsent++
 			if sl.unsent >= r.opts.BatchMax {
-				out = r.flushLinkLocked(key, sl)
+				out = r.flushLinkLocked(key, sl, now)
 			}
 		} else {
-			out = append(out, msg.LinkData{Epoch: sl.epoch, Seq: seq, Payload: m})
+			out = append(out, r.dataFrameLocked(key, sl, &sl.inflight[len(sl.inflight)-1], now))
 		}
 	} else {
 		sl.pending = append(sl.pending, m)
@@ -367,8 +392,11 @@ func (r *Reliable) NotifyRestart(site ids.SiteID, incarnation uint64, peers []id
 // (everything sent has been acknowledged), or the timeout elapses. The wait
 // is event-driven — ack processing signals a waiter channel when the last
 // outstanding frame drains — and the timeout comes from the injected Clock.
+// It first sends every owed ack and unsent batch, so a drain does not wait
+// for the next flush or scan tick to release them.
 func (r *Reliable) AwaitIdle(timeout time.Duration) error {
 	deadline := r.clk.Now().Add(timeout)
+	r.flushAll()
 	r.mu.Lock()
 	for r.outstanding > 0 && !r.closed {
 		if r.idle == nil {
@@ -412,34 +440,63 @@ func (r *Reliable) gaugeMax(name string, v int64) {
 	}
 }
 
-// flushLinkLocked drains a link's unsent tail into LinkBatch frames of at
-// most BatchMax payloads each, piggybacking any ack owed to the same peer
-// onto the first one. The caller holds r.mu and sends the returned frames
-// after unlocking.
-func (r *Reliable) flushLinkLocked(key linkKey, sl *sendLink) []msg.Message {
-	if sl.unsent == 0 {
-		return nil
+// piggybackLocked moves the ack owed to key's peer, if any, onto b.
+func (r *Reliable) piggybackLocked(key linkKey, b *msg.LinkBatch) {
+	owed, ok := r.ackPending[key]
+	if !ok {
+		return
 	}
-	frames := sl.inflight[len(sl.inflight)-sl.unsent:]
-	var out []msg.Message
+	b.AckEpoch, b.AckCum, b.AckInc = owed.ack.Epoch, owed.ack.Cum, owed.ack.Inc
+	delete(r.ackPending, key)
+	r.count(metrics.LinkAcksSent, 1)
+	r.count(metrics.LinkAcksPiggybacked, 1)
+}
+
+// dataFrameLocked builds the first transmission of one frame of an
+// unbatched link: a LinkData, or a one-item LinkBatch when an ack owed to
+// the same peer can ride along. The caller holds r.mu.
+func (r *Reliable) dataFrameLocked(key linkKey, sl *sendLink, f *linkFrame, now time.Time) msg.Message {
+	f.sentAt = now
+	if _, owed := r.ackPending[key]; !owed {
+		return msg.LinkData{Epoch: sl.epoch, Seq: f.seq, Payload: f.m}
+	}
+	b := msg.LinkBatch{Epoch: sl.epoch, Base: f.seq, Items: []msg.Message{f.m}}
+	r.piggybackLocked(key, &b)
+	return b
+}
+
+// batchFramesLocked packs frames into LinkBatch frames of at most BatchMax
+// payloads each.
+func (r *Reliable) batchFramesLocked(epoch uint64, frames []linkFrame) []msg.LinkBatch {
+	var out []msg.LinkBatch
 	for start := 0; start < len(frames); start += r.opts.BatchMax {
-		end := start + r.opts.BatchMax
-		if end > len(frames) {
-			end = len(frames)
-		}
-		chunk := frames[start:end]
+		chunk := frames[start:min(start+r.opts.BatchMax, len(frames))]
 		items := make([]msg.Message, len(chunk))
 		for i, f := range chunk {
 			items[i] = f.m
 		}
-		b := msg.LinkBatch{Epoch: sl.epoch, Base: chunk[0].seq, Items: items}
-		if ack, owed := r.ackPending[key]; owed {
-			b.AckEpoch, b.AckCum, b.AckInc = ack.Epoch, ack.Cum, ack.Inc
-			delete(r.ackPending, key)
-			r.count(metrics.LinkAcksSent, 1)
-		}
-		r.gaugeMax(metrics.WireBatchSize, int64(len(items)))
-		out = append(out, b)
+		out = append(out, msg.LinkBatch{Epoch: epoch, Base: chunk[0].seq, Items: items})
+	}
+	return out
+}
+
+// flushLinkLocked drains a link's unsent tail into LinkBatch frames,
+// piggybacking any ack owed to the same peer onto the first one. The
+// caller holds r.mu and sends the returned frames after unlocking.
+func (r *Reliable) flushLinkLocked(key linkKey, sl *sendLink, now time.Time) []msg.Message {
+	if sl.unsent == 0 {
+		return nil
+	}
+	frames := sl.inflight[len(sl.inflight)-sl.unsent:]
+	for i := range frames {
+		frames[i].sentAt = now
+	}
+	batches := r.batchFramesLocked(sl.epoch, frames)
+	r.piggybackLocked(key, &batches[0])
+	out := make([]msg.Message, len(batches))
+	for i, b := range batches {
+		r.gaugeMax(metrics.WireBatchSize, int64(len(b.Items)))
+		out[i] = b
 	}
 	sl.unsent = 0
 	r.count(metrics.WireFlushes, 1)
@@ -447,8 +504,9 @@ func (r *Reliable) flushLinkLocked(key linkKey, sl *sendLink) []msg.Message {
 }
 
 // flushAll transmits every link's unsent tail and every ack still owed with
-// nothing to piggyback on. Links flush in deterministic (from, to) order so
-// a virtual-clock run replays identically.
+// nothing to piggyback on; it returns at once when there is neither. Links
+// flush in deterministic (from, to) order so a virtual-clock run replays
+// identically.
 func (r *Reliable) flushAll() {
 	type outFrame struct {
 		key linkKey
@@ -460,15 +518,20 @@ func (r *Reliable) flushAll() {
 		r.mu.Unlock()
 		return
 	}
-	keys := make([]linkKey, 0, len(r.sends))
-	for key := range r.sends {
+	var keys []linkKey
+	for key := range r.ackPending {
 		keys = append(keys, key)
 	}
-	for key := range r.ackPending {
-		if _, dup := r.sends[key]; !dup {
+	for key, sl := range r.sends {
+		if _, owed := r.ackPending[key]; sl.unsent > 0 && !owed {
 			keys = append(keys, key)
 		}
 	}
+	if len(keys) == 0 {
+		r.mu.Unlock()
+		return
+	}
+	now := r.clk.Now()
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].from != keys[j].from {
 			return keys[i].from < keys[j].from
@@ -477,15 +540,19 @@ func (r *Reliable) flushAll() {
 	})
 	for _, key := range keys {
 		if sl := r.sends[key]; sl != nil {
-			for _, m := range r.flushLinkLocked(key, sl) {
+			for _, m := range r.flushLinkLocked(key, sl, now) {
 				out = append(out, outFrame{key, m})
 			}
 		}
-		if ack, owed := r.ackPending[key]; owed {
+		if owed, ok := r.ackPending[key]; ok {
 			// No data went toward this peer: the ack travels alone.
-			delete(r.ackPending, key)
+			if owed.again {
+				r.ackPending[key] = owedAck{ack: owed.ack}
+			} else {
+				delete(r.ackPending, key)
+			}
 			r.count(metrics.LinkAcksSent, 1)
-			out = append(out, outFrame{key, ack})
+			out = append(out, outFrame{key, owed.ack})
 		}
 	}
 	r.mu.Unlock()
@@ -516,7 +583,7 @@ func (r *Reliable) sendLinkLocked(from, to ids.SiteID) *sendLink {
 		if inc, ok := r.incarnation[from]; ok {
 			epoch = inc
 		}
-		sl = &sendLink{epoch: epoch, nextSeq: 1}
+		sl = &sendLink{epoch: epoch, nextSeq: 1, rto: r.opts.RetransmitInitial}
 		r.sends[key] = sl
 	}
 	return sl
@@ -542,8 +609,33 @@ func (r *Reliable) resetSendLinkLocked(sl *sendLink, epoch uint64) {
 
 // armLocked starts a fresh backoff window for a link's oldest unacked frame.
 func (r *Reliable) armLocked(sl *sendLink, now time.Time) {
-	sl.backoff = r.opts.RetransmitInitial
+	sl.backoff = sl.rto
 	sl.retryAt = now.Add(r.jitteredLocked(sl.backoff))
+}
+
+// sampleRTTLocked folds one round-trip sample into the link's RFC 6298
+// estimator and recomputes its deadline, RTO = SRTT + 4·RTTVAR + ackDelay,
+// clamped to [RetransmitInitial, RetransmitMax].
+func (r *Reliable) sampleRTTLocked(sl *sendLink, rtt time.Duration) {
+	if sl.srtt == 0 {
+		sl.srtt, sl.rttvar = rtt, rtt/2
+	} else {
+		sl.rttvar = (3*sl.rttvar + (sl.srtt - rtt).Abs()) / 4
+		sl.srtt = (7*sl.srtt + rtt) / 8
+	}
+	sl.rto = min(max(sl.srtt+4*sl.rttvar+r.ackDelay(), r.opts.RetransmitInitial), r.opts.RetransmitMax)
+}
+
+// ackDelay is the longest a receiver holds an ack that no data frame
+// carries: until its next flush with batching, its next scan without.
+// Samples include the deferral only as it happened to fall; adding its
+// bound to the deadline, as QUIC adds max_ack_delay (RFC 9002), keeps an
+// ack that waits a full period from looking like a loss.
+func (r *Reliable) ackDelay() time.Duration {
+	if r.batching() {
+		return r.opts.FlushInterval
+	}
+	return r.opts.Tick
 }
 
 func (r *Reliable) jitteredLocked(d time.Duration) time.Duration {
@@ -573,9 +665,11 @@ func (r *Reliable) receive(self, from ids.SiteID, m msg.Message) {
 }
 
 // receiveData runs the receiver side of the session: epoch checks, dedup,
-// reorder buffering, in-order delivery, and a cumulative ack. The inner
-// network invokes handlers serially per link, so per-link state is never
-// processed concurrently.
+// reorder buffering, in-order delivery, and a cumulative ack. The ack is
+// only recorded as owed: it rides the next data frame toward the peer, or
+// goes out alone at the next flush (see flushAll). The inner network
+// invokes handlers serially per link, so per-link state is never processed
+// concurrently.
 func (r *Reliable) receiveData(self, from ids.SiteID, f msg.LinkData) {
 	key := linkKey{from, self}
 	r.mu.Lock()
@@ -601,10 +695,12 @@ func (r *Reliable) receiveData(self, from ids.SiteID, f msg.LinkData) {
 		rl.buffer = make(map[uint64]msg.Message)
 	}
 	var deliver []msg.Message
+	dup := false
 	switch {
 	case f.Seq < rl.expected:
 		// Duplicate of a delivered frame; re-ack so the sender stops.
 		r.count(metrics.LinkDupDropped, 1)
+		dup = true
 	case f.Seq == rl.expected:
 		deliver = append(deliver, f.Payload)
 		rl.expected++
@@ -620,6 +716,7 @@ func (r *Reliable) receiveData(self, from ids.SiteID, f msg.LinkData) {
 	default: // ahead of a gap
 		if _, ok := rl.buffer[f.Seq]; ok {
 			r.count(metrics.LinkDupDropped, 1)
+			dup = true
 		} else if len(rl.buffer) < 4*r.opts.Window {
 			rl.buffer[f.Seq] = f.Payload
 			r.count(metrics.LinkReorderBuffered, 1)
@@ -631,13 +728,13 @@ func (r *Reliable) receiveData(self, from ids.SiteID, f msg.LinkData) {
 	if inc == 0 {
 		inc = r.opts.Epoch
 	}
-	ack := msg.LinkAck{Epoch: rl.epoch, Cum: rl.expected - 1, Inc: inc}
-	batching := r.batching()
-	if batching {
-		// Acks are cumulative, so the latest one supersedes anything
-		// already owed; it rides the next data batch toward the peer, or
-		// goes out alone at the next flush tick.
-		r.ackPending[linkKey{self, from}] = ack
+	// Acks are cumulative, so the latest one supersedes anything already
+	// owed. Recording it before delivery lets a reply the handler sends
+	// carry it.
+	owed := r.ackPending[linkKey{self, from}]
+	r.ackPending[linkKey{self, from}] = owedAck{
+		ack:   msg.LinkAck{Epoch: rl.epoch, Cum: rl.expected - 1, Inc: inc},
+		again: owed.again || dup,
 	}
 	h := r.handlers[self]
 	r.mu.Unlock()
@@ -646,10 +743,6 @@ func (r *Reliable) receiveData(self, from ids.SiteID, f msg.LinkData) {
 		for _, p := range deliver {
 			h.Deliver(from, p)
 		}
-	}
-	if !batching {
-		r.count(metrics.LinkAcksSent, 1)
-		r.inner.Send(self, from, ack)
 	}
 }
 
@@ -665,8 +758,9 @@ func (r *Reliable) receiveBatch(self, from ids.SiteID, b msg.LinkBatch) {
 	}
 }
 
-// receiveAck drops acknowledged frames from the window and promotes queued
-// messages into the space opened.
+// receiveAck drops acknowledged frames from the window, takes a round-trip
+// sample from the oldest of them unless it was retransmitted (Karn's rule),
+// and promotes queued messages into the space opened.
 func (r *Reliable) receiveAck(self, from ids.SiteID, a msg.LinkAck) {
 	key := linkKey{self, from}
 	var out []msg.Message
@@ -703,13 +797,17 @@ func (r *Reliable) receiveAck(self, from ids.SiteID, a msg.LinkAck) {
 		r.mu.Unlock()
 		return
 	}
-	progressed := false
-	for len(sl.inflight) > 0 && sl.inflight[0].seq <= a.Cum {
-		sl.inflight = sl.inflight[1:]
-		r.outstanding--
-		progressed = true
-	}
-	if progressed {
+	if len(sl.inflight) > 0 && sl.inflight[0].seq <= a.Cum {
+		now := r.clk.Now()
+		// The oldest frame acked has waited longest, deferred ack included:
+		// timing it keeps the deadline above the receiver's ack delay.
+		if oldest := sl.inflight[0]; !oldest.resent {
+			r.sampleRTTLocked(sl, now.Sub(oldest.sentAt))
+		}
+		for len(sl.inflight) > 0 && sl.inflight[0].seq <= a.Cum {
+			sl.inflight = sl.inflight[1:]
+			r.outstanding--
+		}
 		r.noteIdleLocked()
 		for len(sl.pending) > 0 && len(sl.inflight) < r.opts.Window {
 			m := sl.pending[0]
@@ -719,14 +817,14 @@ func (r *Reliable) receiveAck(self, from ids.SiteID, a msg.LinkAck) {
 			sl.inflight = append(sl.inflight, linkFrame{seq: seq, m: m})
 			if r.batching() {
 				// Promoted frames join the unsent tail; the flusher
-				// batches them instead of one LinkData per frame here.
+				// batches them instead of one frame each here.
 				sl.unsent++
 			} else {
-				out = append(out, msg.LinkData{Epoch: sl.epoch, Seq: seq, Payload: m})
+				out = append(out, r.dataFrameLocked(key, sl, &sl.inflight[len(sl.inflight)-1], now))
 			}
 		}
 		if len(sl.inflight) > 0 {
-			r.armLocked(sl, r.clk.Now())
+			r.armLocked(sl, now)
 		}
 	}
 	r.mu.Unlock()
@@ -763,7 +861,9 @@ func (r *Reliable) receiveReset(self, from ids.SiteID, lr msg.LinkReset) {
 
 // retransmitLoop periodically rescans links for overdue frames. All
 // in-flight frames of an overdue link are resent (the receiver deduplicates
-// ones that made it) and the link's backoff doubles up to the cap.
+// ones that made it) and the link's backoff doubles up to the cap. Without
+// batching there is no flush loop, so the scan also sends the acks that no
+// data frame carried.
 func (r *Reliable) retransmitLoop() {
 	defer r.wg.Done()
 	for {
@@ -773,6 +873,9 @@ func (r *Reliable) retransmitLoop() {
 		case <-r.clk.After(r.opts.Tick):
 		}
 		r.retransmitDue(r.clk.Now())
+		if !r.batching() {
+			r.flushAll()
+		}
 	}
 }
 
@@ -791,34 +894,29 @@ func (r *Reliable) retransmitDue(now time.Time) {
 		if len(sl.inflight) == 0 || now.Before(sl.retryAt) {
 			continue
 		}
-		if r.batching() {
-			// Resend the whole window as chunked batches. The tail that
-			// was never transmitted goes out with it, so clear the unsent
-			// mark (first transmissions are not counted as retransmits).
-			for start := 0; start < len(sl.inflight); start += r.opts.BatchMax {
-				end := start + r.opts.BatchMax
-				if end > len(sl.inflight) {
-					end = len(sl.inflight)
-				}
-				chunk := sl.inflight[start:end]
-				items := make([]msg.Message, len(chunk))
-				for i, f := range chunk {
-					items[i] = f.m
-				}
-				out = append(out, resend{key, msg.LinkBatch{Epoch: sl.epoch, Base: chunk[0].seq, Items: items}})
+		// Every frame already transmitted is now a retransmission (Karn);
+		// on the batching path the never-transmitted tail goes out with
+		// it as a first transmission, not counted as a retransmit.
+		sent := len(sl.inflight) - sl.unsent
+		for i := range sl.inflight {
+			if i < sent {
+				sl.inflight[i].resent = true
+			} else {
+				sl.inflight[i].sentAt = now
 			}
-			r.count(metrics.LinkRetransmits, int64(len(sl.inflight)-sl.unsent))
+		}
+		if r.batching() {
+			for _, b := range r.batchFramesLocked(sl.epoch, sl.inflight) {
+				out = append(out, resend{key, b})
+			}
 			sl.unsent = 0
 		} else {
 			for _, f := range sl.inflight {
 				out = append(out, resend{key, msg.LinkData{Epoch: sl.epoch, Seq: f.seq, Payload: f.m}})
 			}
-			r.count(metrics.LinkRetransmits, int64(len(sl.inflight)))
 		}
-		sl.backoff *= 2
-		if sl.backoff > r.opts.RetransmitMax {
-			sl.backoff = r.opts.RetransmitMax
-		}
+		r.count(metrics.LinkRetransmits, int64(sent))
+		sl.backoff = min(2*sl.backoff, r.opts.RetransmitMax)
 		sl.retryAt = now.Add(r.jitteredLocked(sl.backoff))
 	}
 	r.mu.Unlock()

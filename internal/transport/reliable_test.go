@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -313,6 +315,7 @@ func batchedReliable(t *testing.T, opts Options, batch int, n int) (*Reliable, *
 type envelopeTally struct {
 	mu              sync.Mutex
 	total           int
+	data            int
 	batches         int
 	standaloneAcks  int
 	piggybackedAcks int
@@ -326,6 +329,8 @@ func (e *envelopeTally) observe(env msg.Envelope, dropped bool) {
 	defer e.mu.Unlock()
 	e.total++
 	switch m := env.M.(type) {
+	case msg.LinkData:
+		e.data++
 	case msg.LinkBatch:
 		e.batches++
 		if m.AckEpoch != 0 {
@@ -339,7 +344,7 @@ func (e *envelopeTally) observe(env msg.Envelope, dropped bool) {
 func (e *envelopeTally) snapshot() envelopeTally {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return envelopeTally{total: e.total, batches: e.batches,
+	return envelopeTally{total: e.total, data: e.data, batches: e.batches,
 		standaloneAcks: e.standaloneAcks, piggybackedAcks: e.piggybackedAcks}
 }
 
@@ -484,6 +489,297 @@ func TestReliableBatchingPiggybacksAcks(t *testing.T) {
 	tick()
 	if tal := tally.snapshot(); tal.standaloneAcks == 0 {
 		t.Error("ack with nothing to piggyback on never flushed standalone")
+	}
+}
+
+// virtualReliable builds an unbatched Reliable over a lossless memnet on a
+// virtual clock, so its retransmission scan runs only when the test
+// advances the clock, and registers collectors for sites 1 and 2.
+func virtualReliable(t *testing.T, initial time.Duration) (*Reliable, *Net, *clock.Virtual, map[ids.SiteID]*collector, *metrics.Counters, *envelopeTally) {
+	t.Helper()
+	tally := &envelopeTally{}
+	vc := clock.NewVirtual(time.Time{})
+	counters := &metrics.Counters{}
+	inner := NewNet(Options{Observer: tally.observe})
+	r := NewReliable(inner, ReliableOptions{
+		Seed:              7,
+		RetransmitInitial: initial,
+		Clock:             vc,
+		Counters:          counters,
+	})
+	t.Cleanup(r.Close)
+	cols := map[ids.SiteID]*collector{1: {self: 1}, 2: {self: 2}}
+	r.Register(1, cols[1])
+	r.Register(2, cols[2])
+	return r, inner, vc, cols, counters, tally
+}
+
+// scanTick advances the virtual clock by one retransmission-scan tick and
+// returns once that scan has run and the network has delivered what it
+// sent. The scan loop is the clock's only timer due within a tick: it is
+// armed when a timer sits exactly one tick ahead, and re-arming after a
+// fired tick means that scan has finished.
+func scanTick(t *testing.T, r *Reliable, inner *Net, vc *clock.Virtual) {
+	t.Helper()
+	armed := func() {
+		t.Helper()
+		for i := 0; ; i++ {
+			if at, ok := vc.NextTimer(); ok && at.Equal(vc.Now().Add(r.opts.Tick)) {
+				return
+			}
+			if i == 50000 {
+				t.Fatal("retransmission scan never re-armed its timer")
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	armed()
+	vc.Advance(r.opts.Tick)
+	armed()
+	quiesce(t, inner)
+}
+
+func quiesce(t *testing.T, inner *Net) {
+	t.Helper()
+	if err := inner.Quiesce(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sendLinkState reads the sender half of the from->to link.
+func sendLinkState(r *Reliable, from, to ids.SiteID) (inflight int, srtt, rttvar, rto time.Duration) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	sl := r.sends[linkKey{from, to}]
+	return len(sl.inflight), sl.srtt, sl.rttvar, sl.rto
+}
+
+// TestReliablePiggybacksAcksUnbatched: without batching, an ack owed for
+// received traffic is not sent inline but rides the next reverse send,
+// which goes out as a one-item LinkBatch carrying it.
+func TestReliablePiggybacksAcksUnbatched(t *testing.T) {
+	r, inner, _, cols, counters, tally := virtualReliable(t, time.Minute)
+
+	for i := uint64(1); i <= 3; i++ {
+		r.Send(1, 2, ping(i))
+	}
+	quiesce(t, inner)
+	if got := cols[2].count(); got != 3 {
+		t.Fatalf("site 2 delivered %d, want 3", got)
+	}
+	if tal := tally.snapshot(); tal.data != 3 || tal.total != 3 {
+		t.Fatalf("want 3 bare LinkData frames and nothing else, got %d frames, %d LinkData", tal.total, tal.data)
+	}
+
+	// Site 2 owes an ack for all three; its next send to site 1 carries it.
+	r.Send(2, 1, ping(1))
+	quiesce(t, inner)
+	tal := tally.snapshot()
+	if tal.batches != 1 || tal.piggybackedAcks != 1 || tal.standaloneAcks != 0 {
+		t.Fatalf("reverse send: want one LinkBatch carrying the ack, got %d batches, %d piggybacked, %d standalone acks",
+			tal.batches, tal.piggybackedAcks, tal.standaloneAcks)
+	}
+	if got := cols[1].count(); got != 1 {
+		t.Fatalf("site 1 delivered %d, want 1", got)
+	}
+	if n, _, _, _ := sendLinkState(r, 1, 2); n != 0 {
+		t.Fatalf("piggybacked ack left %d frames unacknowledged", n)
+	}
+	if got, piggy := counters.Get(metrics.LinkAcksSent), counters.Get(metrics.LinkAcksPiggybacked); got != 1 || piggy != 1 {
+		t.Fatalf("acks sent %d, piggybacked %d; want 1 and 1", got, piggy)
+	}
+}
+
+// TestReliableStandaloneAckAtNextScan: with no reverse data, the owed ack
+// leaves alone at the next retransmission scan, before the sender's first
+// deadline, so a lossless link never retransmits.
+func TestReliableStandaloneAckAtNextScan(t *testing.T) {
+	r, inner, vc, _, counters, tally := virtualReliable(t, 3*time.Millisecond)
+	if r.opts.Tick >= r.opts.RetransmitInitial {
+		t.Fatalf("scan tick %v not below the first deadline %v", r.opts.Tick, r.opts.RetransmitInitial)
+	}
+
+	r.Send(1, 2, ping(1))
+	quiesce(t, inner)
+	if tal := tally.snapshot(); tal.standaloneAcks != 0 {
+		t.Fatalf("%d acks sent inline", tal.standaloneAcks)
+	}
+	scanTick(t, r, inner, vc)
+	if tal := tally.snapshot(); tal.standaloneAcks != 1 {
+		t.Fatalf("after one scan tick: %d standalone acks, want 1", tal.standaloneAcks)
+	}
+	if n, srtt, _, _ := sendLinkState(r, 1, 2); n != 0 || srtt != r.opts.Tick {
+		t.Fatalf("after the ack: %d frames in flight and SRTT %v, want 0 and %v", n, srtt, r.opts.Tick)
+	}
+	// Run well past the first deadline: nothing is left to retransmit, and
+	// no further ack is owed.
+	for i := 0; i < 10; i++ {
+		scanTick(t, r, inner, vc)
+	}
+	if got := counters.Get(metrics.LinkRetransmits); got != 0 {
+		t.Fatalf("lossless link retransmitted %d frames", got)
+	}
+	if tal := tally.snapshot(); tal.standaloneAcks != 1 {
+		t.Fatalf("%d standalone acks, want exactly 1", tal.standaloneAcks)
+	}
+}
+
+// TestReliableDuplicateAnsweredOnTwoScans: a duplicate shows the sender
+// missed an ack, so the standalone answer goes out on two successive scans
+// (one lost copy then costs no further timeout), and only on two.
+func TestReliableDuplicateAnsweredOnTwoScans(t *testing.T) {
+	r, inner, vc, cols, counters, tally := virtualReliable(t, 3*time.Millisecond)
+
+	r.Send(1, 2, ping(1))
+	quiesce(t, inner)
+	scanTick(t, r, inner, vc)
+	if tal := tally.snapshot(); tal.standaloneAcks != 1 {
+		t.Fatalf("first frame: %d standalone acks, want 1", tal.standaloneAcks)
+	}
+
+	// A retransmitted copy of the delivered frame arrives.
+	inner.Send(1, 2, msg.LinkData{Epoch: r.Incarnation(1), Seq: 1, Payload: ping(1)})
+	quiesce(t, inner)
+	if got := counters.Get(metrics.LinkDupDropped); got != 1 {
+		t.Fatalf("duplicates dropped %d, want 1", got)
+	}
+	for i, want := range []int{2, 3, 3} {
+		scanTick(t, r, inner, vc)
+		if tal := tally.snapshot(); tal.standaloneAcks != want {
+			t.Fatalf("scan %d after the duplicate: %d standalone acks, want %d", i+1, tal.standaloneAcks, want)
+		}
+	}
+	if got := cols[2].count(); got != 1 {
+		t.Fatalf("site 2 delivered %d, want 1", got)
+	}
+}
+
+// TestReliableAwaitIdleFlushesOwedAcks: AwaitIdle sends the acks owed when
+// it starts to wait, so a drain does not wait for the next scan tick. The
+// virtual clock never advances here, so no scan runs at all.
+func TestReliableAwaitIdleFlushesOwedAcks(t *testing.T) {
+	r, inner, _, _, _, tally := virtualReliable(t, 3*time.Millisecond)
+	r.Send(1, 2, ping(1))
+	quiesce(t, inner)
+
+	done := make(chan error, 1)
+	go func() { done <- r.AwaitIdle(time.Second) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("AwaitIdle still waiting for an ack it could have flushed")
+	}
+	if tal := tally.snapshot(); tal.standaloneAcks != 1 {
+		t.Fatalf("%d standalone acks, want 1", tal.standaloneAcks)
+	}
+}
+
+// TestReliableKarnNoSampleAfterRetransmit: an ack that covers a
+// retransmitted frame takes no round-trip sample (Karn's rule), on the
+// unbatched and the batched retransmit path alike; the next ack for a
+// frame sent once does. The batcher's flush loop never fires (an hour of
+// virtual time), so the test flushes by hand.
+func TestReliableKarnNoSampleAfterRetransmit(t *testing.T) {
+	for _, batch := range []int{0, 4} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			vc := clock.NewVirtual(time.Time{})
+			counters := &metrics.Counters{}
+			inner := NewNet(Options{})
+			r := NewReliable(inner, ReliableOptions{
+				Seed:              7,
+				RetransmitInitial: 3 * time.Millisecond,
+				BatchMax:          batch,
+				FlushInterval:     time.Hour,
+				Clock:             vc,
+				Counters:          counters,
+			})
+			defer r.Close()
+			r.Register(1, &collector{self: 1})
+			c2 := &collector{self: 2}
+			r.Register(2, c2)
+
+			// The first transmission is lost; the retransmission lands.
+			inner.Partition(1, 2)
+			r.Send(1, 2, ping(1))
+			r.flushAll()
+			quiesce(t, inner)
+			inner.Heal(1, 2)
+			for i := 0; counters.Get(metrics.LinkRetransmits) == 0; i++ {
+				if i == 10 {
+					t.Fatal("no retransmission within 10 scan ticks")
+				}
+				scanTick(t, r, inner, vc)
+			}
+			if got := counters.Get(metrics.LinkRetransmits); got != 1 {
+				t.Fatalf("retransmitted %d frames, want 1", got)
+			}
+			r.flushAll() // site 2's ack
+			quiesce(t, inner)
+			if c2.count() != 1 {
+				t.Fatalf("site 2 delivered %d, want 1", c2.count())
+			}
+			n, srtt, _, rto := sendLinkState(r, 1, 2)
+			if n != 0 {
+				t.Fatalf("%d frames still in flight", n)
+			}
+			if srtt != 0 || rto != r.opts.RetransmitInitial {
+				t.Fatalf("ack of a retransmitted frame was sampled: SRTT %v, RTO %v", srtt, rto)
+			}
+
+			// A frame sent once and acked one tick later is the first
+			// sample: SRTT = 1ms, RTTVAR = 0.5ms, and RTO = 1ms + 4·0.5ms
+			// plus the receiver's ack deferral bound: one 1ms tick
+			// unbatched, the hour-long flush interval (so RetransmitMax)
+			// batched.
+			r.Send(1, 2, ping(2))
+			r.flushAll()
+			quiesce(t, inner)
+			scanTick(t, r, inner, vc)
+			r.flushAll()
+			quiesce(t, inner)
+			_, srtt, rttvar, rto := sendLinkState(r, 1, 2)
+			want := min(3*time.Millisecond+r.ackDelay(), r.opts.RetransmitMax)
+			if srtt != time.Millisecond || rttvar != time.Millisecond/2 || rto != want {
+				t.Fatalf("after one 1ms sample: SRTT %v RTTVAR %v RTO %v, want 1ms 500µs %v", srtt, rttvar, rto, want)
+			}
+		})
+	}
+}
+
+// TestReliableRTOStaysClamped: whatever round-trip samples arrive, the
+// measured deadline stays within [RetransmitInitial, RetransmitMax].
+func TestReliableRTOStaysClamped(t *testing.T) {
+	r := NewReliable(NewNet(Options{}), ReliableOptions{
+		RetransmitInitial: 3 * time.Millisecond,
+		RetransmitMax:     50 * time.Millisecond,
+	})
+	defer r.Close()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	sl := r.sendLinkLocked(1, 2)
+	if sl.rto != r.opts.RetransmitInitial {
+		t.Fatalf("deadline before any sample %v, want %v", sl.rto, r.opts.RetransmitInitial)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		// Runs of tiny, mid-range and huge samples drive the estimator
+		// into both clamps.
+		var rtt time.Duration
+		switch (i / 100) % 3 {
+		case 0:
+			rtt = time.Duration(rng.Int63n(int64(100 * time.Microsecond)))
+		case 1:
+			rtt = time.Duration(rng.Int63n(int64(20 * time.Millisecond)))
+		default:
+			rtt = time.Duration(rng.Int63n(int64(time.Second)))
+		}
+		r.sampleRTTLocked(sl, rtt)
+		if sl.rto < r.opts.RetransmitInitial || sl.rto > r.opts.RetransmitMax {
+			t.Fatalf("sample %d (%v): RTO %v outside [%v, %v]", i, rtt, sl.rto, r.opts.RetransmitInitial, r.opts.RetransmitMax)
+		}
 	}
 }
 
