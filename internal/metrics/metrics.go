@@ -226,6 +226,11 @@ const (
 	InrefsFlagged       = "inrefs.flagged.garbage"
 )
 
+// UpdateSuppressed counts post-trace update messages a site did not send
+// because they would have repeated, exactly, the last update it sent to that
+// peer; an unchanged update is still resent every few commits.
+const UpdateSuppressed = "update.suppressed"
+
 // Incremental-tracing counter names (site.Config.Incremental).
 const (
 	// IncrementalRemarks counts local traces that took the dirty-set remark

@@ -133,3 +133,11 @@ func TestLinkAckCounterNames(t *testing.T) {
 		t.Errorf("LinkAcksPiggybacked = %q", LinkAcksPiggybacked)
 	}
 }
+
+// TestUpdateSuppressedCounterName pins the suppressed-update counter's
+// exported name: reports and dashboards read it as a string.
+func TestUpdateSuppressedCounterName(t *testing.T) {
+	if UpdateSuppressed != "update.suppressed" {
+		t.Errorf("UpdateSuppressed = %q", UpdateSuppressed)
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -58,13 +59,7 @@ func TestReplayCorpus(t *testing.T) {
 		if !ok {
 			t.Fatal("corpus is missing crash-during-back-trace.json")
 		}
-		found := false
-		for _, fc := range res.FaultCtx {
-			if fc.Kind == EvCrash && fc.ActiveFrames > 0 {
-				found = true
-			}
-		}
-		if !found {
+		if !anyFault(res, crashHitsActiveTrace) {
 			t.Fatalf("no crash hit an active back trace; contexts: %+v", res.FaultCtx)
 		}
 	})
@@ -73,16 +68,73 @@ func TestReplayCorpus(t *testing.T) {
 		if !ok {
 			t.Fatal("corpus is missing partition-during-report.json")
 		}
-		found := false
-		for _, fc := range res.FaultCtx {
-			if fc.Kind == EvPartition && fc.ReportsInFlight > 0 {
-				found = true
-			}
-		}
-		if !found {
+		if !anyFault(res, partitionCutsReport) {
 			t.Fatalf("no partition cut an in-flight report; contexts: %+v", res.FaultCtx)
 		}
 	})
+}
+
+// crashHitsActiveTrace and partitionCutsReport are the races the two fault
+// corpus schedules exist to witness.
+func crashHitsActiveTrace(fc FaultContext) bool {
+	return fc.Kind == EvCrash && fc.ActiveFrames > 0
+}
+
+func partitionCutsReport(fc FaultContext) bool {
+	return fc.Kind == EvPartition && fc.ReportsInFlight > 0
+}
+
+// anyFault reports whether some fault of the run satisfies races.
+func anyFault(res *Result, races func(FaultContext) bool) bool {
+	for _, fc := range res.FaultCtx {
+		if races(fc) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestGenerateFaultCorpus regenerates the two fault-race corpus schedules,
+// which go stale whenever the collector's message stream changes (their
+// scripted deliveries no longer line up). Skipped unless FAULT_CORPUS_OUT
+// names a directory; for each schedule it sweeps seeds until a clean run's
+// fault lands on the collector activity the schedule is in the corpus for.
+func TestGenerateFaultCorpus(t *testing.T) {
+	dir := os.Getenv("FAULT_CORPUS_OUT")
+	if dir == "" {
+		t.Skip("set FAULT_CORPUS_OUT to regenerate the fault corpus schedules")
+	}
+	corpus := []struct {
+		file, faults string
+		races        func(FaultContext) bool
+	}{
+		{"crash-during-back-trace.json", "crash@250:2,restart@370:2", crashHitsActiveTrace},
+		{"partition-during-report.json", "partition@250:1-3,heal@330:1-3", partitionCutsReport},
+	}
+	for _, c := range corpus {
+		seed := int64(0)
+		for ; seed < 200; seed++ {
+			res, err := Run(Config{Seed: seed, Steps: 400, Faults: c.faults})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Failed() {
+				t.Fatalf("%s: seed %d tripped an oracle: %v", c.file, seed, res.Violations())
+			}
+			if !anyFault(res, c.races) {
+				continue
+			}
+			s := Schedule{Config: res.Config, Expect: ExpectClean, Events: res.Events}
+			if err := s.WriteFile(filepath.Join(dir, c.file)); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s: seed %d, %d events", c.file, seed, len(res.Events))
+			break
+		}
+		if seed == 200 {
+			t.Fatalf("%s: no seed satisfied the corpus criteria", c.file)
+		}
+	}
 }
 
 // TestScheduleRoundTrip: WriteFile/ReadScheduleFile preserve a schedule

@@ -94,7 +94,7 @@ func TestPartitionHealSchedule(t *testing.T) {
 }
 
 func TestDropDupSchedule(t *testing.T) {
-	res := runFaultSchedule(t, "drop@60:5,dup@200:3", 0)
+	res := runFaultSchedule(t, "drop@60:5,dup@210:3", 0)
 	if res.Dropped == 0 {
 		t.Fatal("drop plan dropped nothing")
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"backtrace/internal/event"
+	"backtrace/internal/ids"
 )
 
 // TestDeterminism is the replay contract: the same seed produces the
@@ -145,13 +146,17 @@ func TestBareCommitIsAFullRound(t *testing.T) {
 // TestDeliverBurst: a deliver with N>1 moves up to N messages in one
 // scheduler event and renders distinctly in the log (the digest contract).
 func TestDeliverBurst(t *testing.T) {
+	// A backlog of two on 1->2: the commit queues an Update (site 1's root
+	// holds the chain's first hop to site 2), and sending site 1's root to
+	// site 2 queues a RefTransfer behind it. A second commit would not do:
+	// an unchanged Update is not sent again.
 	res := Replay(Config{}, []Event{
-		{Kind: EvTraceCommit, Site: 1}, // each commit queues one Update on 1->2
 		{Kind: EvTraceCommit, Site: 1},
+		{Kind: EvSend, Site: 1, B: 2, Ref: ids.MakeRef(1, 1)},
 		{Kind: EvDeliver, A: 1, B: 2, N: 8},
 	})
 	if res.Skipped != 0 {
-		t.Fatalf("burst deliver skipped (%d)", res.Skipped)
+		t.Fatalf("burst schedule skipped %d events", res.Skipped)
 	}
 	if res.Delivered < 2 {
 		t.Fatalf("burst delivered %d messages, want the whole backlog", res.Delivered)

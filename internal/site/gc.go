@@ -1,6 +1,7 @@
 package site
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -26,13 +27,40 @@ type TraceReport struct {
 	Collected int
 	// OutrefsTrimmed is the number of outrefs dropped.
 	OutrefsTrimmed int
-	// UpdatesSent is the number of update messages sent to target sites.
+	// UpdatesSent is the number of update messages sent to target sites;
+	// updates skipped as exact repeats are not counted.
 	UpdatesSent int
 	// BackTracesStarted is the number of back traces triggered after the
 	// commit (only with AutoBackTrace).
 	BackTracesStarted int
 	// Stats carries the tracer's cost counters.
 	Stats tracer.Stats
+}
+
+// updateRefresh is the number of commits after which an update that
+// repeats the last one sent to a peer is sent again anyway. It bounds how
+// long a lost update, a partition or a peer restored from an older
+// checkpoint can leave the peer's source lists and distances stale.
+const updateRefresh = 8
+
+// peerUpdates is a site's post-trace update state for one peer site.
+type peerUpdates struct {
+	// last holds the Holds and Distances of the last update sent.
+	last msg.Update
+	// since counts the commits since last was sent.
+	since int
+	// farewell counts down the empty updates still owed once no outrefs to
+	// the peer remain, so a lost removal heals; the record is dropped when
+	// it reaches zero.
+	farewell int
+}
+
+// repeats reports whether update u may be skipped: it trims nothing, is not
+// a farewell, equals the last update sent, and that send is fewer than
+// updateRefresh commits old.
+func (p *peerUpdates) repeats(u *msg.Update) bool {
+	return len(u.Removals) == 0 && len(u.Holds) > 0 && p.since < updateRefresh &&
+		slices.Equal(u.Holds, p.last.Holds) && slices.Equal(u.Distances, p.last.Distances)
 }
 
 // RunLocalTrace computes and immediately commits a local trace. Most
@@ -258,10 +286,15 @@ func (s *Site) CommitLocalTrace() TraceReport {
 	s.cfg.Counters.Max(metrics.BackInfoPeak, entries)
 
 	// 5. Build one update message per target site: source-list removals
-	// for trimmed outrefs, distance changes for retained ones (Sections
-	// 2–3), and the complete holds list for idempotent reconciliation.
-	// Peers we owe farewell updates to (no outrefs left) get a few empty
-	// updates so a lost removal heals.
+	// for trimmed outrefs, distances of retained ones (Sections 2–3), and
+	// the complete holds list, which lets a receiver drop any source a
+	// lost removal left behind. An update that would repeat, exactly, the
+	// last one sent to that peer and carries no removal is not sent: on a
+	// lossless FIFO link it would change nothing at the receiver. It is
+	// sent anyway once updateRefresh commits have passed, so loss, a
+	// partition or a peer restored from an older checkpoint heals within
+	// that many commits. Peers we owe farewell updates to (no outrefs
+	// left) get a few empty updates so a lost removal heals.
 	updates := make(map[ids.SiteID]*msg.Update)
 	ensure := func(site ids.SiteID) *msg.Update {
 		u, ok := updates[site]
@@ -285,7 +318,7 @@ func (s *Site) CommitLocalTrace() TraceReport {
 			})
 		}
 	}
-	for peer := range s.farewell {
+	for peer := range s.peers {
 		ensure(peer)
 	}
 	sites := make([]ids.SiteID, 0, len(updates))
@@ -298,21 +331,29 @@ func (s *Site) CommitLocalTrace() TraceReport {
 			continue
 		}
 		u := updates[siteID]
+		p, ok := s.peers[siteID]
+		if !ok {
+			p = &peerUpdates{}
+			s.peers[siteID] = p
+		}
+		p.since++
+		if p.repeats(u) {
+			s.cfg.Counters.Inc(metrics.UpdateSuppressed)
+			continue
+		}
 		s.send(siteID, *u)
 		rep.UpdatesSent++
+		p.last = msg.Update{Holds: u.Holds, Distances: u.Distances}
+		p.since = 0
 		switch {
 		case len(u.Holds) > 0:
-			s.farewell[siteID] = 3
+			p.farewell = 3
+		case p.farewell > 1:
+			p.farewell--
+		case p.farewell == 0 && len(u.Removals) > 0:
+			p.farewell = 2
 		default:
-			n, owed := s.farewell[siteID]
-			switch {
-			case owed && n <= 1:
-				delete(s.farewell, siteID)
-			case owed:
-				s.farewell[siteID] = n - 1
-			case len(u.Removals) > 0:
-				s.farewell[siteID] = 2
-			}
+			delete(s.peers, siteID)
 		}
 	}
 

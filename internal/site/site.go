@@ -285,9 +285,11 @@ type Site struct {
 	// pendingInserts tracks insert messages awaiting acknowledgement;
 	// they are retransmitted at each local trace so a lost insert heals.
 	pendingInserts map[ids.Ref]msg.Insert
-	// farewell counts down the empty update messages still owed to peers
-	// we no longer hold outrefs for, so a lost removal update heals.
-	farewell map[ids.SiteID]int
+	// peers keeps the post-trace update state of each peer site: the last
+	// Update sent to it, the commits since, and the farewell countdown
+	// (see peerUpdates). It is not checkpointed, so a restored site's
+	// first commit sends every peer a full Update.
+	peers map[ids.SiteID]*peerUpdates
 
 	completions []TraceOutcome
 
@@ -349,7 +351,7 @@ func New(cfg Config) *Site {
 		back:           tracer.EmptyBackInfo(),
 		threshold:      cfg.SuspicionThreshold,
 		pendingInserts: make(map[ids.Ref]msg.Insert),
-		farewell:       make(map[ids.SiteID]int),
+		peers:          make(map[ids.SiteID]*peerUpdates),
 		pendingSet:     make(map[ids.Ref]struct{}),
 		outbox:         make(map[ids.SiteID][]msg.Message),
 		partStart:      make(map[ids.TraceID]time.Time),
@@ -395,6 +397,8 @@ func New(cfg Config) *Site {
 		"suspects absorbed into an active back trace already visiting their cone")
 	reg.Counter(metrics.BackTraceDeferred,
 		"suspects parked in the admission queue because the in-flight cap was reached")
+	reg.Counter(metrics.UpdateSuppressed,
+		"post-trace update messages not sent because they repeated the last one sent to that peer")
 	s.engine = core.NewEngine(core.Config{
 		Site:          cfg.ID,
 		Threshold:     s.threshold,
